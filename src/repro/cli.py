@@ -326,13 +326,16 @@ def _serve(args) -> int:
         policy = CheckpointPolicy(
             args.checkpoint_dir, every_periods=args.checkpoint_every or 10
         )
-    engine = ChurnEngine(
-        PowerManager(config),
-        traces,
-        events,
-        args.samples_per_period,
-        checkpoint=policy,
-    )
+    try:
+        engine = ChurnEngine(
+            PowerManager(config),
+            traces,
+            events,
+            args.samples_per_period,
+            checkpoint=policy,
+        )
+    except ValueError as error:
+        raise SystemExit(f"repro-experiments serve: {error}") from error
     if args.resume:
         resumed = engine.resume_latest()
         if resumed is None:

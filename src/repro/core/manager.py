@@ -4,24 +4,26 @@
 placement period:
 
 1. **UPDATE** — observe the just-finished period's utilization window,
-   append each VM's observed reference utilization to its history, predict
-   the upcoming period's references (last-value by default), and build the
-   Eqn-1 cost matrix from the window.
+   append each VM's observed reference utilization to its (bounded)
+   history, predict the upcoming period's references (last-value by
+   default), and build the Eqn-1 cost matrix from the window.
 2. **ALLOCATE** — run the Fig-2 correlation-aware heuristic against the
    predicted references and the Eqn-3 server estimate.
 3. **v/f** — set each active server's static frequency with Eqn 4.
 
-The replay engine (:mod:`repro.sim.engine`) drives one manager per
-compared approach; library users can also drive it directly against live
-monitoring windows, which is the deployment mode the paper describes
-(``t_period`` = 1 hour).
+This is the one implementation of the pipeline: the replay engine
+(:mod:`repro.sim.engine`) drives it through
+:class:`~repro.sim.approaches.ProposedApproach`, the churn loop
+(:mod:`repro.sim.churn`) drives it directly, and library users can drive
+it against live monitoring windows, which is the deployment mode the
+paper describes (``t_period`` = 1 hour).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix, RollingCostHorizon
@@ -29,6 +31,7 @@ from repro.core.placement import Placement
 from repro.core.sharding import ShardedAllocator, ShardedCostView, ShardingConfig
 from repro.core.vf_control import correlation_aware_frequency, estimate_active_servers
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
+from repro.prediction.history import ReferenceHistory
 from repro.prediction.predictors import LastValuePredictor, Predictor
 from repro.traces.trace import ReferenceSpec, TraceSet
 
@@ -56,11 +59,12 @@ class ManagerConfig:
         Prediction used for VMs with no history yet (first period); the
         conservative choice is the per-VM core cap, supplied by the caller.
     horizon_periods:
-        Monitoring windows the cost matrix covers.  The default of 1
-        (cost matrix from the latest window alone) is the original
-        manager behaviour; larger horizons fold cached per-window parts
-        through :class:`~repro.core.correlation.RollingCostHorizon`,
-        exactly like the replay approaches do.
+        Monitoring windows the cost matrix covers (default 1: the latest
+        window alone).  Longer horizons fold cached per-window parts
+        through :class:`~repro.core.correlation.RollingCostHorizon`.  A
+        single window can transiently de-correlate a pair that usually
+        peaks together; horizon peaks only grow, so the Eqn-4 discount
+        then engages only for pairs whose de-correlation is *stable*.
     horizon_mode:
         ``"exact"`` or ``"p2"`` — only meaningful for multi-window
         percentile-reference horizons (see
@@ -132,7 +136,11 @@ class PowerManager:
         predictor: Predictor | None = None,
     ) -> None:
         self._config = config
-        self._predictor = predictor or LastValuePredictor(default=config.default_reference)
+        self._refs = ReferenceHistory(
+            config.reference,
+            predictor or LastValuePredictor(default=config.default_reference),
+            config.default_reference,
+        )
         if config.allocator == "sharded":
             self._allocator = ShardedAllocator(
                 config.allocation, config.sharding, config.reference
@@ -140,7 +148,6 @@ class PowerManager:
         else:
             self._allocator = CorrelationAwareAllocator(config.allocation)
         self._ladder = FrequencyLadder(config.freq_levels_ghz)
-        self._history: dict[str, list[float]] = {}
         self._horizon = RollingCostHorizon(
             config.reference, config.horizon_periods, config.horizon_mode
         )
@@ -149,6 +156,14 @@ class PowerManager:
         # through decide() never populate it, which keeps the legacy
         # snapshot layout byte-identical.
         self._members: dict[str, None] = {}
+        # The placed VMs outside the registry: a swap to different names
+        # drops the allocator's cross-period reindex cache, whose O(N²)
+        # snapshot would otherwise pin a dead population in memory.
+        # Registered VMs are invalidated delta-wise by admit()/retire().
+        self._population: tuple[str, ...] | None = None
+        # Cost lookups of the latest decide(), for the fault layer's
+        # evacuation hook and the replay auditor.  Never serialized.
+        self._last_matrix: CostMatrix | ShardedCostView | None = None
 
     @property
     def config(self) -> ManagerConfig:
@@ -156,9 +171,14 @@ class PowerManager:
         return self._config
 
     @property
+    def allocator(self) -> CorrelationAwareAllocator | ShardedAllocator:
+        """The ALLOCATE-phase allocator (exact or sharded, per config)."""
+        return self._allocator
+
+    @property
     def history(self) -> Mapping[str, tuple[float, ...]]:
-        """Per-VM observed reference history (oldest first)."""
-        return {vm: tuple(values) for vm, values in self._history.items()}
+        """Per-VM observed reference history (oldest first, bounded)."""
+        return self._refs.history
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -187,7 +207,7 @@ class PowerManager:
             return
         if len(set(ids)) != len(ids):
             raise ValueError("VM ids must be unique")
-        present = [vm for vm in ids if vm in self._members or vm in self._history]
+        present = [vm for vm in ids if vm in self._members or vm in self._refs]
         if present:
             raise ValueError(f"VMs already admitted: {present!r}")
         for vm in ids:
@@ -208,12 +228,15 @@ class PowerManager:
             return
         if len(set(ids)) != len(ids):
             raise ValueError("VM ids must be unique")
-        unknown = [vm for vm in ids if vm not in self._members and vm not in self._history]
+        unknown = [vm for vm in ids if vm not in self._members and vm not in self._refs]
         if unknown:
             raise KeyError(f"VMs never admitted or observed: {unknown!r}")
         for vm in ids:
             self._members.pop(vm, None)
-            self._history.pop(vm, None)
+        self._refs.drop(ids)
+        if self._population:
+            gone = set(ids)
+            self._population = tuple(vm for vm in self._population if vm not in gone)
         self._allocator.apply_membership(removed=ids)
         self._horizon.apply_membership(removed=ids)
 
@@ -222,21 +245,19 @@ class PowerManager:
 
         Returns the window's observed references (useful for logging).
         """
-        observed = window.references(self._config.reference)
-        for vm, value in observed.items():
-            self._history.setdefault(vm, []).append(value)
-        return observed
+        return self._refs.observe(window)
 
-    def predict(self, vm_ids: tuple[str, ...] | list[str]) -> dict[str, float]:
+    def predict(self, vm_ids: Iterable[str]) -> dict[str, float]:
         """UPDATE, part 2: predicted next-period references per VM."""
-        predictions: dict[str, float] = {}
-        for vm in vm_ids:
-            history = self._history.get(vm, [])
-            if history:
-                predictions[vm] = self._predictor.predict(history)
-            else:
-                predictions[vm] = self._config.default_reference
-        return predictions
+        return self._refs.predict(vm_ids)
+
+    def prime_oracle(self, true_references: Mapping[str, float]) -> None:
+        """Replace the next :meth:`predict` with the true references.
+
+        Oracle mode of the ablation experiments (see
+        ``ReplayConfig.oracle``); no real deployment has this.
+        """
+        self._refs.prime(true_references)
 
     def decide(self, window: TraceSet) -> PeriodDecision:
         """Run one full UPDATE + ALLOCATE + v/f cycle.
@@ -244,127 +265,156 @@ class PowerManager:
         ``window`` is the utilization of the period that just finished;
         the returned decision applies to the *next* period.
         """
+        config = self._config
+        # Release the previous period's costs before building this one's
+        # (under ``"exact"`` a dense N×N matrix).
+        self._last_matrix = None
         self.observe(window)
-        predicted = self.predict(list(window.names))
-        estimated = estimate_active_servers(predicted, self._config.n_cores)
-        if self._config.allocator == "sharded":
+        predicted = self.predict(window.names)
+        self._track_population(window.names)
+        if config.allocator == "sharded":
+            # Single-window costs: sharding re-derives its clusters and
+            # summaries from the current window each period, so the
+            # rolling horizon (whose fold produces a *dense* matrix)
+            # deliberately stays out of this path.
             placement = self._allocator.allocate(
-                window, predicted, self._config.n_cores, self._config.max_servers
+                window, predicted, config.n_cores, config.max_servers
             )
-            view = self._allocator.cost_view()
-            frequencies = {
-                server: correlation_aware_frequency(
-                    list(members), predicted, view.cost, self._ladder, self._config.n_cores
-                )
-                for server, members in placement.by_server().items()
-            }
-            return PeriodDecision(
-                placement=placement,
-                frequencies=frequencies,
-                predicted_references=predicted,
-                estimated_servers=estimated,
-                cost_matrix=view,
+            matrix = self._allocator.cost_view()
+        else:
+            matrix = self._horizon.push(window)
+            placement = self._allocator.allocate(
+                list(window.names),
+                predicted,
+                matrix.cost,
+                config.n_cores,
+                max_servers=config.max_servers,
+                cost_array=matrix.as_array(),
+                name_index=matrix.name_index,
             )
-        matrix = self._horizon.push(window)
-        placement = self._allocator.allocate(
-            list(window.names),
-            predicted,
-            matrix.cost,
-            self._config.n_cores,
-            max_servers=self._config.max_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+        self._last_matrix = matrix
+        return PeriodDecision(
+            placement=placement,
+            frequencies=self._frequencies(placement, predicted, matrix),
+            predicted_references=predicted,
+            estimated_servers=estimate_active_servers(predicted, config.n_cores),
+            cost_matrix=matrix,
         )
-        frequencies = {
+
+    def _track_population(self, names: tuple[str, ...]) -> None:
+        members = self._members
+        population = tuple(vm for vm in names if vm not in members) if members else names
+        if population != self._population:
+            if self._population is not None:
+                # Sharded mode: this drops every *per-shard* reindex
+                # cache, not just a global one.
+                self._allocator.reset_cache()
+            self._population = population
+
+    def _frequencies(
+        self,
+        placement: Placement,
+        references: Mapping[str, float],
+        matrix: CostMatrix | ShardedCostView,
+    ) -> dict[int, StaticVfSetting]:
+        """v/f: the Eqn-4 frequency of every active server."""
+        return {
             server: correlation_aware_frequency(
-                list(members), predicted, matrix.cost, self._ladder, self._config.n_cores
+                list(members), references, matrix.cost, self._ladder, self._config.n_cores
             )
             for server, members in placement.by_server().items()
         }
-        return PeriodDecision(
-            placement=placement,
-            frequencies=frequencies,
-            predicted_references=predicted,
-            estimated_servers=estimated,
-            cost_matrix=matrix,
-        )
 
     def evacuate(
         self, decision: PeriodDecision, failed_servers: tuple[int, ...] | list[int]
     ) -> PeriodDecision:
         """Amend a decision after server failures (incremental path).
 
-        Re-places exactly the failed servers' VMs through the
-        allocator's incremental
-        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`
-        (reusing the decision's cost matrix and the reindex cache), then
-        recomputes the Eqn-4 frequency for every active server of the
-        amended placement.  Prediction state is untouched — the decision
-        is amended, not re-made.
+        Re-places exactly the failed servers' VMs (see
+        :meth:`evacuate_placement`) against the decision's own cost
+        matrix, then recomputes the Eqn-4 frequency for every active
+        server of the amended placement.  Prediction state is untouched —
+        the decision is amended, not re-made.
         """
         matrix = decision.cost_matrix
-        if self._config.allocator == "sharded":
-            placement = self._allocator.evacuate(
-                decision.placement,
-                failed_servers,
-                decision.predicted_references,
-                self._config.n_cores,
-                self._config.max_servers,
-            )
-        else:
-            placement = self._allocator.evacuate(
-                decision.placement,
-                failed_servers,
-                decision.predicted_references,
-                self._config.n_cores,
-                self._config.max_servers,
-                cost_array=matrix.as_array(),
-                name_index=matrix.name_index,
-            )
-        frequencies = {
-            server: correlation_aware_frequency(
-                list(members),
-                decision.predicted_references,
-                matrix.cost,
-                self._ladder,
-                self._config.n_cores,
-            )
-            for server, members in placement.by_server().items()
-        }
-        return PeriodDecision(
+        references = decision.predicted_references
+        placement = self.evacuate_placement(
+            decision.placement, failed_servers, references, self._config.max_servers, matrix
+        )
+        return replace(
+            decision,
             placement=placement,
-            frequencies=frequencies,
-            predicted_references=decision.predicted_references,
-            estimated_servers=decision.estimated_servers,
-            cost_matrix=matrix,
+            frequencies=self._frequencies(placement, references, matrix),
+        )
+
+    def evacuate_placement(
+        self,
+        placement: Placement,
+        failed_servers: tuple[int, ...] | list[int],
+        references: Mapping[str, float],
+        max_servers: int | None,
+        matrix: CostMatrix | ShardedCostView | None = None,
+    ) -> Placement:
+        """Re-place the failed servers' VMs; placement only.
+
+        Delegates to the allocator's incremental
+        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`,
+        reusing its reindex cache, against ``matrix`` (default: the
+        latest :meth:`decide`'s costs).  This is the fault layer's hook
+        (see :func:`repro.sim.faults.evacuate_fleet`), which owns the
+        frequency bump and accounting itself.
+        """
+        matrix = self._last_matrix if matrix is None else matrix
+        if matrix is None:
+            raise RuntimeError("evacuate() requires a prior decide()")
+        n_cores = self._config.n_cores
+        if self._config.allocator == "sharded":
+            # The sharded path prices evacuees through its cost view and
+            # invalidates the reindex cache of every shard the evacuation
+            # touches (failed or receiving) — see ShardedAllocator.
+            return self._allocator.evacuate(
+                placement, failed_servers, references, n_cores, max_servers
+            )
+        return self._allocator.evacuate(
+            placement,
+            failed_servers,
+            references,
+            n_cores,
+            max_servers,
+            cost_array=matrix.as_array(),
+            name_index=matrix.name_index,
         )
 
     def snapshot(self) -> dict:
         """Serializable copy of the manager's mutable state.
 
-        Covers the per-VM reference histories, the rolling-horizon ring
-        and the allocator's reindex cache — everything :meth:`decide`
-        reads across periods.  The (stateless) predictor and the frozen
-        config are reconstructed, not serialized.
+        Covers the per-VM reference histories, the rolling-horizon ring,
+        the allocator's reindex cache and the placed population —
+        everything :meth:`decide` reads across periods.  The (stateless)
+        predictor and the frozen config are reconstructed, not
+        serialized; neither is the latest cost matrix (evacuation after
+        a restore follows a fresh decide).
         """
         state = {
-            "history": {vm: list(values) for vm, values in self._history.items()},
-            "allocator": self._allocator.snapshot(),
+            **self._refs.snapshot(),
             "horizon": self._horizon.snapshot(),
+            "allocator": self._allocator.snapshot(),
+            "population": self._population,
         }
         # Only serialized when the membership API is in use, so
-        # batch-driven managers keep the legacy snapshot layout (and
-        # their checkpoints) byte-identical.
+        # batch-driven managers keep the batch snapshot layout.
         if self._members:
             state["members"] = list(self._members)
         return state
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._history = {vm: list(values) for vm, values in state["history"].items()}
+        self._refs.restore(state)
         self._allocator.restore(state["allocator"])
         self._horizon.restore(state["horizon"])
+        self._population = state["population"]
         self._members = dict.fromkeys(state.get("members", ()))
+        self._last_matrix = None
 
     def reset(self) -> None:
         """Drop all accumulated history (fresh deployment).
@@ -374,7 +424,9 @@ class PowerManager:
         placement), but a fresh deployment should not pin the previous
         population's O(N²) snapshot in memory.
         """
-        self._history.clear()
+        self._refs.reset()
         self._members.clear()
         self._allocator.reset_cache()
         self._horizon.reset()
+        self._population = None
+        self._last_matrix = None

@@ -23,15 +23,17 @@ import numpy as np
 from repro.analysis.reporting import ascii_table
 from repro.core.allocation import AllocationConfig
 from repro.core.correlation import pearson_cost_matrix
+from repro.core.vf_control import correlation_aware_frequency
 from repro.experiments.base import ExperimentResult
 from repro.experiments.setup2 import Setup2Config, build_fine_traces
+from repro.infrastructure.dvfs import FrequencyLadder
 from repro.prediction.predictors import (
     EwmaPredictor,
     LastValuePredictor,
     MaxOverHistoryPredictor,
     MovingAveragePredictor,
 )
-from repro.sim.approaches import ProposedApproach
+from repro.sim.approaches import ApproachDecision, ProposedApproach
 from repro.sim.engine import ReplayConfig
 from repro.sim.runner import Scenario, run_scenarios
 from repro.traces.trace import TraceSet
@@ -78,32 +80,38 @@ def pearson_cost_adapter(
 
 
 class PearsonProposedApproach(ProposedApproach):
-    """The proposed allocator with Pearson correlation as the pair cost."""
+    """The proposed allocator with Pearson correlation as the pair cost.
+
+    Runs the manager's UPDATE phase and allocator unchanged; only the
+    pair costs (and hence the Eqn-4 discount) come from Pearson's
+    coefficient of the latest window.
+    """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.name = "Proposed (Pearson)"
+        self._ladder = FrequencyLadder(self.manager.config.freq_levels_ghz)
 
-    def decide(self, window: TraceSet):
-        from repro.core.vf_control import correlation_aware_frequency
-        from repro.sim.approaches import ApproachDecision
-
-        predicted = self._refs.observe_and_predict(window)
+    def decide(self, window: TraceSet) -> ApproachDecision:
+        manager = self.manager
+        n_cores = manager.config.n_cores
+        manager.observe(window)
+        predicted = manager.predict(window.names)
         dense = pearson_dense_costs(window)
         name_index = {name: i for i, name in enumerate(window.names)}
         cost_fn = pearson_cost_adapter(window, dense, name_index)
-        placement = self._allocator.allocate(
+        placement = manager.allocator.allocate(
             list(window.names),
             predicted,
             cost_fn,
-            self._n_cores,
-            self._max_servers,
+            n_cores,
+            manager.config.max_servers,
             cost_array=dense,
             name_index=name_index,
         )
         frequencies = {
             server: correlation_aware_frequency(
-                list(members), predicted, cost_fn, self._ladder, self._n_cores
+                list(members), predicted, cost_fn, self._ladder, n_cores
             )
             for server, members in placement.by_server().items()
         }

@@ -7,6 +7,7 @@ workload changes.  This subpackage provides the last-value predictor plus
 the alternatives used by the ablation benches.
 """
 
+from repro.prediction.history import ReferenceHistory
 from repro.prediction.predictors import (
     EwmaPredictor,
     LastValuePredictor,
@@ -23,4 +24,5 @@ __all__ = [
     "EwmaPredictor",
     "MaxOverHistoryPredictor",
     "OraclePredictor",
+    "ReferenceHistory",
 ]

@@ -14,7 +14,8 @@ settings.  They differ exactly where the paper says they differ:
 * :class:`FfdApproach` — first-fit decreasing; not in the paper's tables,
   used by the ablation benches to isolate the packing-order contribution.
 
-All approaches share the same prediction machinery (last-value by
+All approaches share the same prediction machinery
+(:class:`~repro.prediction.history.ReferenceHistory`, last-value by
 default, per the paper), so differences in the results are attributable
 to placement and v/f policy alone.
 """
@@ -28,12 +29,13 @@ from typing import Protocol
 from repro.baselines.bfd import best_fit_decreasing
 from repro.baselines.ffd import first_fit_decreasing
 from repro.baselines.pcp import PcpConfig, peak_clustering_placement
-from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
-from repro.core.correlation import RollingCostHorizon
-from repro.core.sharding import ShardedAllocator, ShardingConfig
+from repro.core.allocation import AllocationConfig
+from repro.core.manager import ManagerConfig, PowerManager
+from repro.core.sharding import ShardingConfig
 from repro.core.placement import Placement
-from repro.core.vf_control import correlation_aware_frequency, peak_sum_frequency
+from repro.core.vf_control import peak_sum_frequency
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
+from repro.prediction.history import ReferenceHistory
 from repro.prediction.predictors import LastValuePredictor, Predictor
 from repro.traces.trace import ReferenceSpec, TraceSet
 
@@ -71,90 +73,17 @@ class ConsolidationApproach(Protocol):
         ...
 
 
-class _ReferenceHistory:
-    """Shared per-VM reference history + prediction helper.
-
-    Supports *oracle priming*: the replay engine may inject the true
-    upcoming references (see ``ReplayConfig.oracle``), which then replace
-    the predictor's output for exactly one decision.  This separates
-    placement quality from predictor error in the ablation experiments.
-
-    Histories are bounded to the predictor's declared ``history_window``
-    (see :class:`~repro.prediction.predictors.Predictor`): a replay over
-    thousands of periods must not grow per-VM lists forever when the
-    predictor only ever reads the last few values.  Predictors without
-    the attribute, or declaring ``None``, keep the full history.
-    """
-
-    def __init__(self, spec: ReferenceSpec, predictor: Predictor, default: float) -> None:
-        self._spec = spec
-        self._predictor = predictor
-        self._default = default
-        window = getattr(predictor, "history_window", None)
-        if window is not None and window < 0:
-            raise ValueError(f"history_window must be non-negative, got {window}")
-        self._bound = window
-        self._history: dict[str, list[float]] = {}
-        self._primed: dict[str, float] | None = None
-
-    def prime(self, true_references: dict[str, float]) -> None:
-        """Inject the true upcoming references (consumed by next predict)."""
-        self._primed = dict(true_references)
-
-    def observe_and_predict(self, window: TraceSet) -> dict[str, float]:
-        observed = window.references(self._spec)
-        primed = self._primed
-        self._primed = None
-        bound = self._bound
-        predictions: dict[str, float] = {}
-        for vm, value in observed.items():
-            history = self._history.setdefault(vm, [])
-            history.append(value)
-            if bound is not None and len(history) > bound:
-                del history[: len(history) - bound]
-            if primed is not None and vm in primed:
-                predictions[vm] = primed[vm]
-            else:
-                predictions[vm] = self._predictor.predict(history)
-        return predictions
-
-    def reset(self) -> None:
-        self._history.clear()
-        self._primed = None
-
-    def snapshot(self) -> dict:
-        return {
-            "history": {vm: list(values) for vm, values in self._history.items()},
-            "primed": None if self._primed is None else dict(self._primed),
-        }
-
-    def restore(self, state: dict) -> None:
-        self._history = {vm: list(values) for vm, values in state["history"].items()}
-        self._primed = None if state["primed"] is None else dict(state["primed"])
-
-
 class ProposedApproach:
     """The paper's scheme: Fig-2 allocation + Eqn-4 frequency.
 
-    The pairwise cost matrix is estimated over a rolling *horizon* of the
-    last ``horizon_periods`` monitoring windows, not just the most recent
-    one.  Section IV-A's streaming formulation measures correlation
-    "across a certain time horizon"; a multi-period horizon matters in
-    practice because a single window can transiently de-correlate a pair
-    that usually peaks together — trusting that optimistic snapshot both
-    co-locates the pair and over-discounts the frequency, exactly when it
-    is about to surge jointly.  Peaks over a longer horizon are
-    conservative by construction (they can only grow), so the discount
-    only engages for pairs whose de-correlation is *stable*.
-
-    The horizon bookkeeping lives in
-    :class:`~repro.core.correlation.RollingCostHorizon`.  Peak-mode
-    references fold per-window parts bit-exactly regardless of
-    ``horizon_mode``; percentile references rebuild the concatenated
-    horizon under ``horizon_mode="exact"`` (the default, bit-identical
-    reference behaviour) or fold per-window quantile marker states under
-    ``horizon_mode="p2"`` — the approximate-but-gated O(N²W)-per-period
-    path the QoS sweep opts into.
+    A thin adapter over :class:`~repro.core.manager.PowerManager`, which
+    owns the whole UPDATE → ALLOCATE → v/f pipeline: it maps the
+    constructor onto :class:`~repro.core.manager.ManagerConfig` (with a
+    3-window cost horizon by default) and each period's
+    :class:`~repro.core.manager.PeriodDecision` onto an
+    :class:`ApproachDecision`.  ``horizon_mode="p2"`` folds per-window
+    quantile marker states for percentile references — the
+    approximate-but-gated path the QoS sweep opts into.
     """
 
     def __init__(
@@ -171,83 +100,38 @@ class ProposedApproach:
         allocator: str = "exact",
         sharding: ShardingConfig | None = None,
     ) -> None:
-        if allocator not in ("exact", "sharded"):
-            raise ValueError(f"allocator must be 'exact' or 'sharded', got {allocator!r}")
         self.name = "Proposed"
-        self._n_cores = n_cores
-        self._ladder = FrequencyLadder(freq_levels_ghz)
-        self._max_servers = max_servers
-        self._reference = reference or ReferenceSpec()
-        self._mode = allocator
-        # Either backend answers to the same lifecycle (reset_cache /
-        # snapshot / restore), so the audit and checkpoint layers — which
-        # duck-type the ``_allocator`` attribute — drive both unchanged.
-        if allocator == "sharded":
-            self._allocator = ShardedAllocator(allocation, sharding, self._reference)
-        else:
-            self._allocator = CorrelationAwareAllocator(allocation)
-        self._refs = _ReferenceHistory(
-            self._reference, predictor or LastValuePredictor(default_reference), default_reference
+        #: The driven pipeline; the audit and checkpoint layers reach the
+        #: decision state through it.
+        self.manager = PowerManager(
+            ManagerConfig(
+                n_cores=n_cores,
+                freq_levels_ghz=freq_levels_ghz,
+                reference=reference or ReferenceSpec(),
+                allocation=allocation or AllocationConfig(),
+                max_servers=max_servers,
+                default_reference=default_reference,
+                horizon_periods=horizon_periods,
+                horizon_mode=horizon_mode,
+                allocator=allocator,
+                sharding=sharding,
+            ),
+            predictor,
         )
-        self._horizon = RollingCostHorizon(self._reference, horizon_periods, horizon_mode)
-        # Fingerprint of the placed population: a swap to different VM
-        # names drops the allocator's cross-period reindex cache, whose
-        # O(N²) snapshot would otherwise pin a dead population in memory.
-        self._population: tuple[str, ...] | None = None
-        # Latest cost matrix, kept for the evacuation hook (the fault
-        # layer re-places VMs against the same period's correlations).
-        self._last_matrix = None
 
     def prime_oracle(self, true_references: dict[str, float]) -> None:
         """Inject the true upcoming references (oracle ablation mode)."""
-        self._refs.prime(true_references)
+        self.manager.prime_oracle(true_references)
 
     def decide(self, window: TraceSet) -> ApproachDecision:
-        predicted = self._refs.observe_and_predict(window)
-        if self._population != window.names:
-            if self._population is not None:
-                # Sharded mode: this drops every *per-shard* reindex
-                # cache, not just a global one — each would otherwise pin
-                # a dead population's O(n²) permuted matrix in memory.
-                self._allocator.reset_cache()
-            self._population = window.names
-        if self._mode == "sharded":
-            # Single-window costs: sharding re-derives its clusters and
-            # summaries from the current window each period, so the
-            # rolling horizon (whose fold produces a *dense* matrix)
-            # deliberately stays out of this path.
-            placement = self._allocator.allocate(
-                window, predicted, self._n_cores, self._max_servers
-            )
-            view = self._allocator.cost_view()
-            self._last_matrix = view
-            frequencies = {
-                server: correlation_aware_frequency(
-                    list(members), predicted, view.cost, self._ladder, self._n_cores
-                )
-                for server, members in placement.by_server().items()
-            }
-            info = {"num_shards": self._allocator.last_num_shards}
-            return ApproachDecision(placement, frequencies, predicted, info)
-        matrix = self._horizon.push(window)
-        self._last_matrix = matrix
-        placement = self._allocator.allocate(
-            list(window.names),
-            predicted,
-            matrix.cost,
-            self._n_cores,
-            self._max_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+        decision = self.manager.decide(window)
+        if self.manager.config.allocator == "sharded":
+            info = {"num_shards": self.manager.allocator.last_num_shards}
+        else:
+            info = {"mean_cost": decision.cost_matrix.mean_offdiagonal()}
+        return ApproachDecision(
+            decision.placement, decision.frequencies, decision.predicted_references, info
         )
-        frequencies = {
-            server: correlation_aware_frequency(
-                list(members), predicted, matrix.cost, self._ladder, self._n_cores
-            )
-            for server, members in placement.by_server().items()
-        }
-        mean_cost = matrix.mean_offdiagonal()
-        return ApproachDecision(placement, frequencies, predicted, {"mean_cost": mean_cost})
 
     def evacuate(
         self,
@@ -256,71 +140,19 @@ class ProposedApproach:
         references: Mapping[str, float],
         num_servers: int,
     ) -> Placement:
-        """Incrementally re-place the failed servers' VMs.
-
-        The fault layer's hook (see :func:`repro.sim.faults.evacuate_fleet`):
-        delegates to the allocator's incremental
-        :meth:`~repro.core.allocation.CorrelationAwareAllocator.evacuate`
-        against the cost matrix of the latest :meth:`decide`, whose
-        reindex cache it reuses.
-        """
-        matrix = self._last_matrix
-        if matrix is None:
-            raise RuntimeError("evacuate() requires a prior decide()")
-        if self._mode == "sharded":
-            # The sharded path prices evacuees through its cost view and
-            # invalidates the reindex cache of every shard the evacuation
-            # touches (failed or receiving) — see ShardedAllocator.
-            return self._allocator.evacuate(
-                placement, failed_servers, references, self._n_cores, num_servers
-            )
-        return self._allocator.evacuate(
-            placement,
-            failed_servers,
-            references,
-            self._n_cores,
-            num_servers,
-            cost_array=matrix.as_array(),
-            name_index=matrix.name_index,
+        """The fault layer's hook: ``PowerManager.evacuate_placement``."""
+        return self.manager.evacuate_placement(
+            placement, failed_servers, references, num_servers
         )
 
     def reset(self) -> None:
-        self._refs.reset()
-        self._allocator.reset_cache()
-        self._horizon.reset()
-        self._population = None
-        self._last_matrix = None
+        self.manager.reset()
 
     def snapshot(self) -> dict:
-        """Serializable copy of all cross-period state (for checkpoints).
-
-        ``_last_matrix`` is an immutable :class:`CostMatrix` (read-only
-        backing array), so holding a reference rather than a deep copy
-        is safe.  In sharded mode it is a view over the allocator's own
-        plan, so it is *not* serialized — :meth:`restore` re-derives it,
-        keeping the snapshot canonical (byte-identical round trips).
-        """
-        return {
-            "refs": self._refs.snapshot(),
-            "horizon": self._horizon.snapshot(),
-            "allocator": self._allocator.snapshot(),
-            "population": self._population,
-            "last_matrix": None if self._mode == "sharded" else self._last_matrix,
-        }
+        return self.manager.snapshot()
 
     def restore(self, state: dict) -> None:
-        """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._refs.restore(state["refs"])
-        self._horizon.restore(state["horizon"])
-        self._allocator.restore(state["allocator"])
-        self._population = state["population"]
-        if self._mode == "sharded":
-            allocator = self._allocator
-            self._last_matrix = (
-                allocator.cost_view() if allocator.last_num_shards else None
-            )
-        else:
-            self._last_matrix = state["last_matrix"]
+        self.manager.restore(state)
 
 
 class _PackingApproach:
@@ -342,9 +174,10 @@ class _PackingApproach:
         self._n_cores = n_cores
         self._ladder = FrequencyLadder(freq_levels_ghz)
         self._max_servers = max_servers
-        self._reference = reference or ReferenceSpec()
-        self._refs = _ReferenceHistory(
-            self._reference, predictor or LastValuePredictor(default_reference), default_reference
+        self._refs = ReferenceHistory(
+            reference or ReferenceSpec(),
+            predictor or LastValuePredictor(default_reference),
+            default_reference,
         )
 
     def prime_oracle(self, true_references: dict[str, float]) -> None:
@@ -412,10 +245,10 @@ class PcpApproach:
         self._pcp = pcp or PcpConfig()
         offpeak_spec = ReferenceSpec(self._pcp.offpeak_percentile)
         peak_spec = ReferenceSpec(100.0)
-        self._offpeak_refs = _ReferenceHistory(
+        self._offpeak_refs = ReferenceHistory(
             offpeak_spec, predictor or LastValuePredictor(default_reference), default_reference
         )
-        self._peak_refs = _ReferenceHistory(
+        self._peak_refs = ReferenceHistory(
             peak_spec, peak_predictor or LastValuePredictor(default_reference), default_reference
         )
 

@@ -77,9 +77,15 @@ class AuditEvent:
 _REBUILDABLE = frozenset({"cost_matrix", "p2_markers"})
 
 
-def _iter_p2_estimators(approach):
-    """Duck-typed scan of an approach for live P² estimators."""
-    attrs = vars(approach) if hasattr(approach, "__dict__") else {}
+def _state_of(approach):
+    """Where an approach keeps its horizon, allocator and last cost matrix:
+    its :class:`~repro.core.manager.PowerManager` if it drives one."""
+    return getattr(approach, "manager", approach)
+
+
+def _iter_p2_estimators(owner):
+    """Duck-typed scan of decision state for live P² estimators."""
+    attrs = vars(owner) if hasattr(owner, "__dict__") else {}
     for value in attrs.values():
         if isinstance(value, BatchPSquare):
             yield value
@@ -89,8 +95,8 @@ def _iter_p2_estimators(approach):
                     yield estimator
 
 
-def _iter_horizons(approach):
-    attrs = vars(approach) if hasattr(approach, "__dict__") else {}
+def _iter_horizons(owner):
+    attrs = vars(owner) if hasattr(owner, "__dict__") else {}
     for value in attrs.values():
         if isinstance(value, RollingCostHorizon):
             yield value
@@ -165,7 +171,8 @@ def audit_replay_state(
     if negative:
         findings.append(("counters", f"negative accounting: {', '.join(negative)}"))
 
-    matrix = getattr(approach, "_last_matrix", None)
+    owner = _state_of(approach)
+    matrix = getattr(owner, "_last_matrix", None)
     if matrix is not None and hasattr(matrix, "as_array"):
         dense = matrix.as_array()
         if not np.all(np.isfinite(dense)):
@@ -173,7 +180,7 @@ def audit_replay_state(
         elif not np.array_equal(dense, dense.T):
             findings.append(("cost_matrix", "cost matrix is not symmetric"))
 
-    for estimator in _iter_p2_estimators(approach):
+    for estimator in _iter_p2_estimators(owner):
         try:
             validate_p2_markers(
                 estimator._heights, estimator._positions, estimator._count
@@ -182,7 +189,7 @@ def audit_replay_state(
             findings.append(("p2_markers", str(error)))
             break
     else:
-        for horizon in _iter_horizons(approach):
+        for horizon in _iter_horizons(owner):
             parts = getattr(horizon, "_marker_parts", ())
             for singles, pairs, count in parts:
                 if count >= 5 and (
@@ -210,19 +217,20 @@ def _rebuild_component(approach, check: str) -> bool:
     for a few periods, never wrong.
     """
     rebuilt = False
-    horizon = getattr(approach, "_horizon", None)
+    owner = _state_of(approach)
+    horizon = getattr(owner, "_horizon", None)
     if horizon is not None and hasattr(horizon, "reset"):
         horizon.reset()
         rebuilt = True
-    allocator = getattr(approach, "_allocator", None)
+    allocator = getattr(owner, "_allocator", None)
     if allocator is not None and hasattr(allocator, "reset_cache"):
         allocator.reset_cache()
         rebuilt = True
-    if getattr(approach, "_last_matrix", None) is not None:
-        approach._last_matrix = None
+    if getattr(owner, "_last_matrix", None) is not None:
+        owner._last_matrix = None
         rebuilt = True
     if check == "p2_markers":
-        attrs = vars(approach) if hasattr(approach, "__dict__") else {}
+        attrs = vars(owner) if hasattr(owner, "__dict__") else {}
         for value in attrs.values():
             if isinstance(value, (BatchPSquare, StreamingCostMatrix)):
                 value.reset()

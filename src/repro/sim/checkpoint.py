@@ -1,4 +1,4 @@
-"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v1"``).
+"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v2"``).
 
 :func:`repro.sim.engine.replay` can periodically serialize its *complete*
 mid-stream state — accumulator partials, streaming estimators, allocator
@@ -8,7 +8,7 @@ module owns the file format and the durability contract; the engine owns
 *what* goes into a checkpoint (see ``sim/engine.py``) and the auditor
 (``sim/audit.py``) validates the state right before each write.
 
-File format (``checkpoint_layout="v1"``)::
+File format (``checkpoint_layout="v2"``)::
 
     MAGIC (8 bytes, b"RPCKPT01")
     header length (4 bytes, big-endian)
@@ -29,22 +29,29 @@ corruption is *detected and reported*, never silently resumed from.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import struct
+import sys
 import warnings
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.core.placement import Placement
 
 __all__ = [
     "CHECKPOINT_LAYOUT",
     "Checkpoint",
     "CheckpointError",
     "CheckpointPolicy",
+    "canonicalize",
     "checkpoint_file",
+    "identity_fingerprint",
     "list_checkpoints",
     "load_checkpoint",
     "load_latest_checkpoint",
@@ -53,7 +60,9 @@ __all__ = [
 ]
 
 #: Schema version stamped into (and required of) every checkpoint header.
-CHECKPOINT_LAYOUT = "v1"
+#: ``"v2"``: the Proposed approach's section is its power manager's
+#: snapshot (bounded history, no dense last cost matrix).
+CHECKPOINT_LAYOUT = "v2"
 
 #: File magic; the trailing digits version the *container framing* (the
 #: byte layout around the JSON header), while ``CHECKPOINT_LAYOUT``
@@ -124,6 +133,54 @@ class Checkpoint:
     sections: dict = field(default_factory=dict)
 
 
+def identity_fingerprint(*identity: object) -> str:
+    """SHA-256 binding a checkpoint to one exact run.
+
+    Hashes the pickled tuple ``(CHECKPOINT_LAYOUT, *identity)``, so a
+    layout bump alone invalidates every older checkpoint's fingerprint.
+    """
+    blob = pickle.dumps((CHECKPOINT_LAYOUT, *identity), protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(blob).hexdigest()
+
+
+def canonicalize(state, names: tuple[str, ...]):
+    """Re-share the string objects of an unpickled state.
+
+    ``pickle.dumps`` output depends on object *identity* sharing (the
+    pickler memoizes repeated objects).  A live run references the trace
+    set's own name strings and interned literal keys; an unpickled
+    checkpoint carries equal-valued private copies.  Rewriting restored
+    containers against ``names`` (``sys.intern`` for other strings), each
+    :class:`Placement` rebuilt once so shared placements stay shared,
+    makes a resumed run pickle byte-identically to an uninterrupted one.
+    """
+    table = dict(zip(names, names, strict=True))
+    rebuilt: dict[int, Placement] = {}
+
+    def canon(obj):
+        if isinstance(obj, str):
+            canonical = table.get(obj)
+            return canonical if canonical is not None else sys.intern(obj)
+        if isinstance(obj, Placement):
+            cached = rebuilt.get(id(obj))
+            if cached is None:
+                cached = Placement(
+                    {canon(vm): server for vm, server in obj.assignment.items()},
+                    obj.num_servers,
+                )
+                rebuilt[id(obj)] = cached
+            return cached
+        if isinstance(obj, dict):
+            return {canon(key): canon(value) for key, value in obj.items()}
+        if isinstance(obj, list):
+            return [canon(item) for item in obj]
+        if isinstance(obj, tuple):
+            return tuple(canon(item) for item in obj)
+        return obj
+
+    return canon(state)
+
+
 def checkpoint_file(directory: str | Path, period: int) -> Path:
     """The canonical file name for the checkpoint taken after ``period``."""
     return Path(directory) / f"period_{period:06d}.ckpt"
@@ -151,7 +208,7 @@ def prune_checkpoints(directory: str | Path, keep: int) -> None:
 
 
 def save_checkpoint(path: str | Path, meta: dict, sections: dict) -> Path:
-    """Atomically write a v1 checkpoint file.
+    """Atomically write a checkpoint file.
 
     ``meta`` must be JSON-serializable; ``sections`` maps section names
     to raw payload bytes.  The write goes to a temporary file in the
@@ -212,7 +269,7 @@ def _fsync_directory(directory: Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read and verify a v1 checkpoint file.
+    """Read and verify a checkpoint file.
 
     Raises :class:`CheckpointError` on any corruption: bad magic,
     truncated header or payload, CRC mismatch (header or any section),

@@ -20,10 +20,8 @@ resumes byte-identically to an uninterrupted one.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import pickle
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,9 +31,10 @@ import numpy as np
 
 from repro.core.manager import PowerManager
 from repro.sim.checkpoint import (
-    CHECKPOINT_LAYOUT,
     CheckpointPolicy,
+    canonicalize,
     checkpoint_file,
+    identity_fingerprint,
     load_latest_checkpoint,
     prune_checkpoints,
     save_checkpoint,
@@ -133,33 +132,14 @@ def synthesize_churn_events(
     return tuple(events)
 
 
-def _canonicalize(obj, table: dict[str, str]):
-    """Re-share restored strings against the master trace's name objects.
-
-    ``pickle.dumps`` output depends on object *identity* sharing; an
-    unpickled manager snapshot carries equal-valued private string
-    copies, which would make a resumed run's re-snapshot pickle to
-    different bytes than an uninterrupted twin's (same contract as
-    ``sim/engine.py``'s ``_canonicalize_restored``).
-    """
-    if isinstance(obj, str):
-        canonical = table.get(obj)
-        return canonical if canonical is not None else sys.intern(obj)
-    if isinstance(obj, dict):
-        return {_canonicalize(k, table): _canonicalize(v, table) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_canonicalize(item, table) for item in obj]
-    if isinstance(obj, tuple):
-        return tuple(_canonicalize(item, table) for item in obj)
-    return obj
-
-
 class ChurnEngine:
     """Drives a :class:`PowerManager` from a churn event stream.
 
     ``traces`` is the master demand pool: every event's VM must name one
-    of its rows, and period ``k``'s monitoring window for the active
-    population is the sample block ``[k*W, (k+1)*W)`` (wrapping around
+    of its rows, and the feed must be a consistent membership sequence
+    (no arrival of an active VM, no departure of an inactive one) — both
+    checked at construction.  Period ``k``'s monitoring window for the
+    active population is the sample block ``[k*W, (k+1)*W)`` (wrapping around
     the trace length for unbounded streams), where ``W`` is
     ``samples_per_period``.  One period of wall-clock time is therefore
     ``samples_per_period * traces.period_s`` seconds of event time.
@@ -189,6 +169,15 @@ class ChurnEngine:
         times = [event.time_s for event in events]
         if any(later < earlier for earlier, later in zip(times, times[1:], strict=False)):
             raise ValueError("events must be sorted by non-decreasing time")
+        # Replay the membership sequence once, so an inconsistent feed is
+        # refused here rather than mid-run after the manager has moved.
+        active: set[str] = set()
+        for index, event in enumerate(events):
+            arriving = event.action == "arrive"
+            if arriving == (event.vm in active):
+                status = "already active" if arriving else "not active"
+                raise ValueError(f"event {index}: {event.vm!r} {event.action}s while {status}")
+            (active.add if arriving else active.remove)(event.vm)
         self._manager = manager
         self._traces = traces
         self._events = events
@@ -233,8 +222,7 @@ class ChurnEngine:
         depends on — so a checkpoint can never silently resume into a
         different run.
         """
-        identity = (
-            CHECKPOINT_LAYOUT,
+        return identity_fingerprint(
             "churn-v1",
             self._events,
             self._traces.names,
@@ -244,8 +232,6 @@ class ChurnEngine:
             int(self._samples),
             self._manager.config,
         )
-        blob = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
-        return hashlib.sha256(blob).hexdigest()
 
     def latency_ms(self) -> dict[str, float]:
         """p50/p99/max decide latency over the recorded periods."""
@@ -386,9 +372,9 @@ class ChurnEngine:
             raise ValueError(
                 f"{path} was written by a different churn run (fingerprint mismatch)"
             )
-        table = dict(zip(self._traces.names, self._traces.names, strict=True))
-        manager_state = _canonicalize(pickle.loads(ckpt.sections["manager"]), table)
-        engine_state = _canonicalize(pickle.loads(ckpt.sections["engine"]), table)
+        names = self._traces.names
+        manager_state = canonicalize(pickle.loads(ckpt.sections["manager"]), names)
+        engine_state = canonicalize(pickle.loads(ckpt.sections["engine"]), names)
         self._manager.restore(manager_state)
         self._active = list(engine_state["active"])
         self._cursor = int(engine_state["cursor"])

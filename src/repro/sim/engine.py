@@ -29,10 +29,8 @@ order is part of the contract; see ``tests/test_replay_vectorized.py``).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import pickle
-import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,9 +42,10 @@ from repro.infrastructure.server import ServerSpec
 from repro.sim import audit as _audit
 from repro.sim.approaches import ConsolidationApproach
 from repro.sim.checkpoint import (
-    CHECKPOINT_LAYOUT,
     CheckpointPolicy,
+    canonicalize,
     checkpoint_file,
+    identity_fingerprint,
     load_latest_checkpoint,
     prune_checkpoints,
     save_checkpoint,
@@ -119,8 +118,7 @@ def _replay_fingerprint(
     identity and the approach's type/name — so a checkpoint can never be
     resumed into a *different* replay and silently diverge.
     """
-    identity = (
-        CHECKPOINT_LAYOUT,
+    return identity_fingerprint(
         replace(config, checkpoint=None),
         spec,
         int(num_servers),
@@ -131,8 +129,6 @@ def _replay_fingerprint(
         type(approach).__qualname__,
         str(getattr(approach, "name", "")),
     )
-    blob = pickle.dumps(identity, protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _approach_payload(approach: ConsolidationApproach) -> dict:
@@ -166,51 +162,6 @@ def _restore_approach(
         approach.restore(payload["state"])
         return approach
     return payload["object"]
-
-
-def _canonicalize_restored(state: dict, names: tuple[str, ...]) -> dict:
-    """Re-share string objects of an unpickled engine state.
-
-    The repo's byte-identity contract compares results with
-    ``pickle.dumps``, whose output depends on object *identity* sharing
-    (the pickler memoizes repeated objects).  A live run's placements
-    and info dicts all reference the trace set's own name strings and
-    interned literal keys; an unpickled checkpoint carries equal-valued
-    private copies.  Rewriting the restored containers against the
-    canonical name objects (and ``sys.intern`` for literal keys) makes
-    the resumed run's result share strings exactly like an uninterrupted
-    run — a prerequisite for byte-identical resume, not a cosmetic step.
-    """
-    from repro.core.placement import Placement
-
-    table = dict(zip(names, names, strict=True))
-    rebuilt: dict[int, object] = {}
-
-    def canon(obj):
-        if isinstance(obj, str):
-            canonical = table.get(obj)
-            return canonical if canonical is not None else sys.intern(obj)
-        if isinstance(obj, Placement):
-            cached = rebuilt.get(id(obj))
-            if cached is None:
-                cached = Placement(
-                    {canon(vm): server for vm, server in obj.assignment.items()},
-                    obj.num_servers,
-                )
-                rebuilt[id(obj)] = cached
-            return cached
-        if isinstance(obj, dict):
-            return {canon(key): canon(value) for key, value in obj.items()}
-        if isinstance(obj, list):
-            return [canon(item) for item in obj]
-        if isinstance(obj, tuple):
-            return tuple(canon(item) for item in obj)
-        return obj
-
-    out = dict(state)
-    for key in ("placements", "previous_placement", "infos"):
-        out[key] = canon(state[key])
-    return out
 
 
 def _load_resume_state(
@@ -353,7 +304,7 @@ def replay(
                     raise ValueError("checkpointed violation matrix shape mismatch")
                 residency.restore(state["residency"])
                 approach = _restore_approach(approach, approach_payload)
-                state = _canonicalize_restored(state, fine_traces.names)
+                state = canonicalize(state, fine_traces.names)
             except (KeyError, ValueError, TypeError) as error:
                 warnings.warn(
                     f"checkpoint state rejected ({error}); cold-starting",

@@ -289,7 +289,7 @@ class TestCheckpointFileFormat:
 
     def test_layout_constant(self, tmp_path):
         path, _, _ = self._save(tmp_path)
-        assert CHECKPOINT_LAYOUT == "v1"
+        assert CHECKPOINT_LAYOUT == "v2"
         # The version stamp rides in the header, not the meta.
         assert "layout" not in load_checkpoint(path).meta
 
@@ -825,10 +825,10 @@ class TestAuditor:
 
     def test_apply_policy_degrade_rebuilds(self):
         approach = _proposed()
-        approach._last_matrix = _AsymmetricMatrix()
+        approach.manager._last_matrix = _AsymmetricMatrix()
         events = audit.apply_policy([("cost_matrix", "broken")], "degrade", approach, 4)
         assert events[0].action == "rebuilt"
-        assert approach._last_matrix is None
+        assert approach.manager._last_matrix is None
 
     def test_apply_policy_degrade_records_unrebuildable(self):
         events = audit.apply_policy([("energy", "went backwards")], "degrade", _bfd(), 4)

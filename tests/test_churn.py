@@ -134,6 +134,31 @@ class TestChurnEngine:
         with pytest.raises(ValueError, match="non-decreasing"):
             _engine(traces, events)
 
+    @pytest.mark.parametrize(
+        ("tail", "message"),
+        [
+            # A departure of a VM that never arrived: before construction
+            # replayed the feed, this admitted v15 and then raised KeyError
+            # mid-period.
+            ((("arrive", 15), ("depart", 16)), r"event 11: .* departs while not active"),
+            ((("arrive", 15), ("arrive", 15)), r"event 11: .* arrives while already active"),
+        ],
+        ids=["depart-inactive", "double-arrive"],
+    )
+    def test_inconsistent_feed_rejected_at_construction(self, tail, message):
+        from repro.core.manager import PowerManager
+
+        traces = _traces(num_vms=20)
+        names = traces.names
+        events = [ChurnEvent(0.0, "arrive", vm) for vm in names[:10]]
+        for offset, (action, index) in enumerate(tail):
+            events.append(ChurnEvent(70.0 + 5.0 * offset, action, names[index]))
+        manager = PowerManager(_config())
+        with pytest.raises(ValueError, match=message):
+            ChurnEngine(manager, traces, events, samples_per_period=12)
+        assert manager.members == ()
+        assert manager.history == {}
+
 
 class TestKillMidChurn:
     """Satellite 1: restart-from-checkpoint equals cold uninterrupted run."""

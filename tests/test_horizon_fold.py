@@ -262,11 +262,11 @@ class TestApproachAndManagerThreading:
         population's O(N²) reindex snapshot pinned in the allocator."""
         approach = ProposedApproach(8, (2.0, 2.3))
         approach.decide(_window(rng, NAMES))
-        assert approach._allocator._reindex_cache is not None
+        assert approach.manager.allocator._reindex_cache is not None
         renamed = tuple(f"other{i}" for i in range(len(NAMES)))
         decision = approach.decide(_window(rng, renamed))
         assert set(decision.placement.assignment) == set(renamed)
-        cache = approach._allocator._reindex_cache
+        cache = approach.manager.allocator._reindex_cache
         assert cache is None or set(cache.key[0]) == set(renamed)
 
     def test_invalid_horizon_mode_rejected(self):

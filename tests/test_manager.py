@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.manager import ManagerConfig, PowerManager
-from repro.prediction.predictors import LastValuePredictor
+from repro.prediction.predictors import LastValuePredictor, MovingAveragePredictor
 
 
 @pytest.fixture
@@ -23,12 +23,18 @@ class TestManagerConfig:
 
 class TestObservePredict:
     def test_history_accumulates(self, config, four_vm_traces):
+        # History grows up to the predictor's declared window, then stays
+        # bounded: last-value keeps one value, a 2-period average two.
         manager = PowerManager(config)
         observed = manager.observe(four_vm_traces)
         assert observed["a1"] == 3.0
         assert manager.history["a1"] == (3.0,)
         manager.observe(four_vm_traces)
-        assert manager.history["a1"] == (3.0, 3.0)
+        assert manager.history["a1"] == (3.0,)
+        averaging = PowerManager(config, predictor=MovingAveragePredictor(2, 4.0))
+        for expected in ((3.0,), (3.0, 3.0), (3.0, 3.0)):
+            averaging.observe(four_vm_traces)
+            assert averaging.history["a1"] == expected
 
     def test_predict_uses_default_without_history(self, config):
         manager = PowerManager(config)

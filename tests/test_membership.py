@@ -358,6 +358,28 @@ class TestAllocatorDeltas:
             TraceSet.from_matrix(_window(rng, 59), tuple(names), PERIOD_S)
         )
 
+    @pytest.mark.parametrize("allocator", ["exact", "sharded"])
+    def test_population_swap_resets_only_unregistered_changes(self, allocator, monkeypatch):
+        rng = np.random.default_rng(17)
+        manager = self._manager(allocator)
+        resets = []
+        monkeypatch.setattr(manager.allocator, "reset_cache", lambda: resets.append(1))
+
+        def decide(names):
+            manager.decide(TraceSet.from_matrix(_window(rng, len(names)), names, PERIOD_S))
+
+        names = tuple(f"v{i}" for i in range(30))
+        decide(names)
+        # Deltas announced through admit()/retire() keep the caches.
+        manager.retire("v3")
+        manager.admit(["new"])
+        decide(tuple(vm for vm in names if vm != "v3") + ("new",))
+        assert resets == []
+        # A silent swap to different names drops them (the sharded tier
+        # also notices the swap on its own).
+        decide(tuple(f"w{i}" for i in range(30)))
+        assert resets
+
     def test_retire_before_any_decide_is_safe(self):
         manager = self._manager("sharded")
         manager.admit(["a", "b"])
