@@ -52,18 +52,7 @@ def test_streaming_percentile_update(benchmark, window):
 
 
 def test_correlation_aware_allocation(benchmark, window):
-    """Full ALLOCATE phase for 40 VMs on 8-core servers (string path)."""
-    matrix = CostMatrix.from_traces(window)
-    refs = matrix.references()
-    allocator = CorrelationAwareAllocator()
-    placement = benchmark(
-        allocator.allocate, list(window.names), refs, matrix.cost, 8
-    )
-    assert placement.num_vms == 40
-
-
-def test_correlation_aware_allocation_fast_path(benchmark, window):
-    """Same ALLOCATE instance through the indexed incremental fast path."""
+    """Full ALLOCATE phase for 40 VMs on 8-core servers."""
     matrix = CostMatrix.from_traces(window)
     refs = matrix.references()
     allocator = CorrelationAwareAllocator()
@@ -71,7 +60,6 @@ def test_correlation_aware_allocation_fast_path(benchmark, window):
         allocator.allocate,
         list(window.names),
         refs,
-        None,
         8,
         cost_array=matrix.as_array(),
         name_index=matrix.name_index,

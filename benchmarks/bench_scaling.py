@@ -8,7 +8,7 @@ times the three hot paths at N ∈ {40, 200, 1000}:
 * ``build``   — exact :meth:`CostMatrix.from_traces` over a full window;
 * ``update``  — one :meth:`StreamingCostMatrix.update` (the per-sample
   online cost, peak mode);
-* ``allocate`` — the full ALLOCATE phase through the indexed fast path.
+* ``allocate`` — the full (cold) ALLOCATE phase.
 
 plus an end-to-end *replay gate*: a full trace replay (placement +
 per-period accounting) of a 1000-VM / 125-server fleet through the
@@ -172,7 +172,6 @@ def test_scaling_suite(report, bench_json_merge):
             lambda: allocator.allocate(
                 list(fleet.names),
                 refs,
-                None,
                 8,
                 cost_array=matrix.as_array(),
                 name_index=matrix.name_index,
@@ -687,7 +686,7 @@ def test_allocate_sweep_gate(report, bench_json_merge):
 
     def _allocate(active: CorrelationAwareAllocator):
         return active.allocate(
-            names, refs, None, 8, cost_array=array, name_index=matrix.name_index
+            names, refs, 8, cost_array=array, name_index=matrix.name_index
         )
 
     cold_ms = _time_ms(lambda: _allocate(CorrelationAwareAllocator()), 3)
@@ -930,9 +929,7 @@ def test_allocate_sharded_gate(report, bench_json_merge):
     exact = CorrelationAwareAllocator().allocate(
         names,
         references,
-        matrix.cost,
         n_cores,
-        None,
         cost_array=matrix.as_array(),
         name_index=matrix.name_index,
     )

@@ -62,7 +62,11 @@ def main() -> None:
     # 2. Correlation-aware placement.
     refs = matrix.references()
     placement = CorrelationAwareAllocator().allocate(
-        list(traces.names), refs, matrix.cost, N_CORES
+        list(traces.names),
+        refs,
+        N_CORES,
+        cost_array=matrix.as_array(),
+        name_index=matrix.name_index,
     )
     print("\nCorrelation-aware placement:")
     for server, members in placement.by_server().items():

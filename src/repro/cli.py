@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["exact", "sharded"],
         default=None,
         help="allocation backend for the proposed approach: 'exact' (dense "
-        "Fig-2 fast path, the default) or 'sharded' (the approximate-but-"
+        "Fig-2 allocator, the default) or 'sharded' (the approximate-but-"
         "gated two-level 100k-VM tier; experiments that build Setup-2 "
         "scenarios only)",
     )

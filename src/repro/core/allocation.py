@@ -18,23 +18,18 @@ servers places nothing while VMs remain, the threshold is degenerated by
 the factor ``alpha`` (line 17) and the servers re-sorted by remaining
 capacity (line 18).
 
-Two candidate-evaluation strategies implement line 11:
+Line 11 is evaluated over a dense symmetric cost array (``cost_array``
++ ``name_index``).  Each server bin keeps a cached pairwise-sum/weight
+pair so the prospective cost of *all* fitting candidates is evaluated at
+once in O(|bin|) array operations per candidate: for a bin with members
+``S``, cached ``T_S = sum_j r_j * sum_{k != j} C(j, k)``, and candidate
+``c``, ``Cost(S + c) = (T_S + sum_j (r_j + r_c) C(j, c)) / ((R_S + r_c) |S|)``.
+The dense matrix must be symmetric (both cost matrices are).  The
+scalar Fig-2 transcription (Eqn 2 through ``prospective_server_cost``,
+one ``alpha`` level per unproductive sweep) lives in the test suite as
+the oracle these placements are pinned against.
 
-* the **string-keyed path** (default) calls the scalar Eqn-2
-  ``prospective_server_cost`` per fitting candidate through an arbitrary
-  ``cost_fn`` — the reference implementation;
-* the **indexed fast path** (``cost_array`` + ``name_index``) keeps a
-  cached pairwise-sum/weight pair per server bin so the prospective cost
-  of *all* fitting candidates is evaluated at once in O(|bin|) array
-  operations per candidate: for a bin with members ``S``, cached
-  ``T_S = sum_j r_j * sum_{k != j} C(j, k)``, and candidate ``c``,
-  ``Cost(S + c) = (T_S + sum_j (r_j + r_c) C(j, c)) / ((R_S + r_c) |S|)``.
-  The dense matrix must be symmetric (both cost matrices are).  The two
-  paths produce identical placements (up to floating-point noise far
-  below the cost resolution); the equivalence tests randomize over
-  instances to check it.
-
-Two further batching layers sit on top of the indexed path (PR 3):
+Two batching layers sit on top of the incremental evaluation:
 
 * **Per-bin cost caching + TH-level sweep batching.**  A bin's
   prospective candidate costs depend only on its membership, so each bin
@@ -48,8 +43,8 @@ Two further batching layers sit on top of the indexed path (PR 3):
   of one full re-scan per TH level.  The threshold trajectory (repeated
   ``threshold *= alpha``) and the sweep accounting against
   ``max_sweeps`` are replicated exactly, so placements are identical to
-  the level-by-level scalar loop.
-* **Cross-period reuse of unchanged rows.**  The indexed path permutes
+  the level-by-level loop.
+* **Cross-period reuse of unchanged rows.**  :meth:`allocate` permutes
   ``cost_array`` into canonical slot order, an O(N²) gather per call.
   The allocator instance caches that permuted matrix together with a
   snapshot of the input; when the next period's call carries the same
@@ -57,6 +52,12 @@ Two further batching layers sit on top of the indexed path (PR 3):
   did not move), only the rows that actually changed are re-gathered.
   The cache is self-validating (exact value comparison against the
   snapshot), so reuse can never change a placement.
+
+Evacuation (re-placing a failed server's VMs without a rebuild) keeps the
+same incremental ``R_S``/``T_S`` bin state.  Its rule has one body,
+:func:`_evacuate`, parameterised only by a pair-cost row lookup, so the
+exact tier (rows of ``cost_array``) and the sharded tier (its cost view)
+run the same code.
 
 Interpretation notes (the paper gives the mechanism, not every corner):
 
@@ -90,7 +91,6 @@ from collections.abc import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.core.placement import Placement
-from repro.core.server_cost import CostFn, prospective_server_cost
 
 __all__ = ["AllocationConfig", "CorrelationAwareAllocator", "CapacityError"]
 
@@ -153,11 +153,11 @@ class AllocationConfig:
 class _Bin:
     """Mutable server-side bookkeeping during one allocation run.
 
-    ``members`` holds VM names (string path) or candidate slots (indexed
-    path).  ``ref_sum`` and ``pair_weight`` are the indexed fast path's
+    ``members`` holds candidate slots (allocation) or VM names
+    (:func:`_evacuate`).  ``ref_sum`` and ``pair_weight`` are the
     incremental Eqn-2 state: the committed reference sum ``R_S`` and the
     weighted pairwise sum ``T_S = sum_j r_j * sum_{k != j} C(j, k)``.
-    ``cost_cache`` memoizes the indexed path's (fitting slots, costs)
+    ``cost_cache`` memoizes the allocation sweep's (fitting slots, costs)
     pair for the current membership; it is invalidated whenever a VM is
     placed *into this bin* (placements elsewhere only shrink the free
     mask, which is applied on read).
@@ -174,97 +174,6 @@ class _Bin:
         self.cost_cache: tuple[np.ndarray, np.ndarray] | None = None
 
 
-class _StringCandidates:
-    """Line-11 candidate selection through a scalar ``cost_fn``.
-
-    The canonical candidate order (descending reference, then name) is
-    fixed up front; placed VMs are tracked in a set, so per-pick
-    bookkeeping never pays the O(N) ``list.remove`` of the naive
-    formulation.
-    """
-
-    def __init__(
-        self,
-        order: Sequence[str],
-        refs: Mapping[str, float],
-        cost_fn: CostFn,
-        resolution: float,
-    ) -> None:
-        self._order = list(order)
-        self._refs = refs
-        self._cost_fn = cost_fn
-        self._resolution = resolution
-        self._placed: set[str] = set()
-
-    @property
-    def remaining(self) -> int:
-        return len(self._order) - len(self._placed)
-
-    def any_fits(self, free_capacity: float) -> bool:
-        return any(
-            self._refs[vm] <= free_capacity + _FIT_EPS
-            for vm in self._order
-            if vm not in self._placed
-        )
-
-    def pick(self, bin_: _Bin, threshold: float) -> str | None:
-        fitting = [
-            vm
-            for vm in self._order
-            if vm not in self._placed and self._refs[vm] <= bin_.remaining + _FIT_EPS
-        ]
-        if not fitting:
-            return None
-        if not bin_.members:
-            # Canonical order is descending reference: the FFD move.
-            return fitting[0]
-        resolution = self._resolution
-        best_vm: str | None = None
-        best_key: tuple[float, float, str] | None = None
-        for vm in fitting:
-            cost = prospective_server_cost(bin_.members, vm, self._refs, self._cost_fn)
-            if cost <= threshold:
-                continue
-            bucketed = round(cost / resolution) * resolution if resolution > 0 else cost
-            key = (-bucketed, -self._refs[vm], vm)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_vm = vm
-        return best_vm
-
-    def place(self, bin_: _Bin, vm: str) -> None:
-        bin_.members.append(vm)
-        bin_.remaining -= self._refs[vm]
-        self._placed.add(vm)
-
-    def best_cost(self, bin_: _Bin) -> float | None:
-        """Highest prospective cost among free fitting candidates.
-
-        ``None`` when nothing fits; ``inf`` for an empty bin (which
-        admits its first fitting candidate at any threshold).  Used by
-        the sweep loop to batch threshold degeneration across TH levels.
-        """
-        fitting = [
-            vm
-            for vm in self._order
-            if vm not in self._placed and self._refs[vm] <= bin_.remaining + _FIT_EPS
-        ]
-        if not fitting:
-            return None
-        if not bin_.members:
-            return math.inf
-        return max(
-            prospective_server_cost(bin_.members, vm, self._refs, self._cost_fn)
-            for vm in fitting
-        )
-
-    def size_of(self, member: str) -> float:
-        return self._refs[member]
-
-    def name_of(self, member: str) -> str:
-        return member
-
-
 class _IndexedCandidates:
     """Line-11 candidate selection over a dense symmetric cost array.
 
@@ -278,18 +187,11 @@ class _IndexedCandidates:
     never recompute Eqn 2.
     """
 
-    def __init__(
-        self,
-        order: Sequence[str],
-        refs: Mapping[str, float],
-        permuted_costs: np.ndarray,
-        resolution: float,
-    ) -> None:
-        self._names = list(order)
-        self._r = np.array([refs[vm] for vm in order], dtype=float)
+    def __init__(self, r: np.ndarray, permuted_costs: np.ndarray, resolution: float) -> None:
+        self._r = r
         self._costs = permuted_costs
-        self._free = np.ones(len(self._names), dtype=bool)
-        self._free_count = len(self._names)
+        self._free = np.ones(r.size, dtype=bool)
+        self._free_count = r.size
         self._resolution = resolution
 
     @property
@@ -353,8 +255,8 @@ class _IndexedCandidates:
         resolution = self._resolution
         bucketed = np.round(costs / resolution) * resolution if resolution > 0 else costs
         # argmax returns the *first* maximum; slots are in canonical
-        # (descending reference, then name) order, so the bucket tie-break
-        # matches the string path's (-cost, -reference, name) key.
+        # (descending reference, then name) order, so bucket ties break
+        # by the (-cost, -reference, name) key.
         return int(candidates[np.argmax(bucketed)])
 
     def best_cost(self, bin_: _Bin) -> float | None:
@@ -384,12 +286,6 @@ class _IndexedCandidates:
         bin_.cost_cache = None
         self._free[slot] = False
         self._free_count -= 1
-
-    def size_of(self, member: int) -> float:
-        return float(self._r[member])
-
-    def name_of(self, member: int) -> str:
-        return self._names[member]
 
 
 class _ReindexCache:
@@ -513,16 +409,7 @@ class CorrelationAwareAllocator:
         unchanged rows is O(N²) sequential reads, after which only the
         changed rows and columns are re-gathered.
         """
-        cost_array = np.asarray(cost_array, dtype=float)
-        if cost_array.ndim != 2 or cost_array.shape[0] != cost_array.shape[1]:
-            raise ValueError(f"cost_array must be square, got shape {cost_array.shape}")
-        missing = [vm for vm in order if vm not in name_index]
-        if missing:
-            raise ValueError(f"name_index missing entries for {missing}")
-        rows = np.array([name_index[vm] for vm in order], dtype=np.intp)
-        if rows.size and (rows.min() < 0 or rows.max() >= cost_array.shape[0]):
-            raise ValueError("name_index points outside cost_array")
-
+        cost_array, rows = _dense_rows(order, cost_array, name_index)
         key = (tuple(order), cost_array.shape)
         cache = self._reindex_cache
         if (
@@ -553,12 +440,11 @@ class CorrelationAwareAllocator:
         self,
         vm_ids: Sequence[str],
         references: Mapping[str, float],
-        cost_fn: CostFn | None,
         n_cores: int,
         max_servers: int | None = None,
         *,
-        cost_array: np.ndarray | None = None,
-        name_index: Mapping[str, int] | None = None,
+        cost_array: np.ndarray,
+        name_index: Mapping[str, int],
     ) -> Placement:
         """Place ``vm_ids`` onto the minimum number of ``n_cores`` servers.
 
@@ -570,21 +456,17 @@ class CorrelationAwareAllocator:
             Predicted reference utilization per VM (cores-at-fmax); each
             value is clamped into ``[0, n_cores]`` — a VM predicted beyond
             a whole server can at best receive a full server.
-        cost_fn:
-            Pairwise Eqn-1 cost lookup (exact or streaming matrix).  May
-            be ``None`` when the dense fast path inputs are supplied.
         n_cores:
             Per-server capacity ``Ncore``.
         max_servers:
             Optional fleet-size bound; exceeding it raises
             :class:`CapacityError`.
         cost_array:
-            Optional dense symmetric pairwise cost matrix (e.g.
-            ``CostMatrix.as_array()``).  Supplying it (with
-            ``name_index``) selects the incremental indexed fast path.
+            Dense symmetric pairwise Eqn-1 cost matrix (e.g.
+            ``CostMatrix.as_array()``).
         name_index:
             ``{vm name: cost_array row}`` map, e.g.
-            ``CostMatrix.name_index``; required alongside ``cost_array``.
+            ``CostMatrix.name_index``.
 
         Returns
         -------
@@ -602,8 +484,6 @@ class CorrelationAwareAllocator:
         missing = [vm for vm in vm_ids if vm not in references]
         if missing:
             raise ValueError(f"missing references for {missing}")
-        if cost_array is None and cost_fn is None:
-            raise ValueError("need either cost_fn or cost_array + name_index")
 
         capacity = float(n_cores)
         refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
@@ -620,23 +500,13 @@ class CorrelationAwareAllocator:
                     f"Eqn-3 estimate needs {estimate} servers, fleet has {max_servers}"
                 )
 
-        resolution = self._config.cost_resolution
-        if cost_array is not None:
-            if name_index is None:
-                raise ValueError("cost_array requires a name_index mapping")
-            permuted = self._permuted_costs(order, cost_array, name_index)
-            candidates: _StringCandidates | _IndexedCandidates = _IndexedCandidates(
-                order, refs, permuted, resolution
-            )
-        else:
-            candidates = _StringCandidates(order, refs, cost_fn, resolution)
-
+        permuted = self._permuted_costs(order, cost_array, name_index)
+        r = np.array([refs[vm] for vm in order], dtype=float)
+        candidates = _IndexedCandidates(r, permuted, self._config.cost_resolution)
         bins = self._run_sweeps(candidates, capacity, estimate, max_servers)
-        self._consolidate_extras(bins, candidates.size_of, estimate)
+        self._consolidate_extras(bins, r, estimate)
 
-        assignment = {
-            candidates.name_of(member): bin_.index for bin_ in bins for member in bin_.members
-        }
+        assignment = {order[slot]: bin_.index for bin_ in bins for slot in bin_.members}
         num_servers = max_servers if max_servers is not None else len(bins)
         placement = Placement(assignment, num_servers=num_servers)
         placement.validate_capacity(refs, capacity)
@@ -655,137 +525,35 @@ class CorrelationAwareAllocator:
     ) -> Placement:
         """Re-place the failed servers' VMs without a full rebuild.
 
-        The incremental arrival/departure path: the surviving bins'
-        Eqn-2 state (``R_S`` and the weighted pair sum ``T_S``) is
-        reconstructed from ``placement`` over the same canonical slot
-        order :meth:`allocate` used, so the slot-permuted cost matrix
-        comes straight out of the cross-period reindex cache — no O(N²)
-        re-gather, no sweep loop.  Each evacuee (descending reference,
-        then name) then joins the surviving bin that *maximises* the
-        bucketed prospective Eqn-2 cost among the bins it fits
-        (ties: larger remaining capacity, then lower index); when no
-        non-empty bin fits, the lowest-index empty survivor is opened;
-        when nothing fits at all, the bin with the most remaining
-        capacity is *overcommitted* — an emergency re-placement prefers
-        a violated QoS target over an unhosted VM, so no correlation
-        threshold gates admission and ``validate_capacity`` is not
-        enforced.  A VM stays unplaced only when no surviving server
-        exists.
-
-        Returns the amended placement (original VM order preserved);
-        the caller diffs it against the input to charge migrations.
+        Runs :func:`_evacuate` with pair costs read as rows of
+        ``cost_array``; see there for the rule.  Returns the amended
+        placement (original VM order preserved); the caller diffs it
+        against the input to charge migrations.
         """
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        capacity = float(n_cores)
-        failed = {int(server) for server in failed_servers}
-        fleet = num_servers if num_servers is not None else placement.num_servers
-        if fleet < placement.num_servers:
-            raise ValueError(
-                f"num_servers {fleet} below the placement's {placement.num_servers}"
-            )
-        vm_ids = list(placement.vm_ids)
-        missing = [vm for vm in vm_ids if vm not in references]
-        if missing:
-            raise ValueError(f"missing references for {missing}")
-        evacuees_exist = any(
-            server in failed for server in placement.assignment.values()
+        cost_array, rows = _dense_rows(placement.vm_ids, cost_array, name_index)
+        row_of = dict(zip(placement.vm_ids, rows.tolist(), strict=True))
+
+        def pair_costs(vm: str, others: Sequence[str]) -> np.ndarray:
+            return cost_array[row_of[vm], [row_of[other] for other in others]]
+
+        return _evacuate(
+            placement,
+            failed_servers,
+            references,
+            n_cores,
+            num_servers,
+            self._config.cost_resolution,
+            pair_costs,
         )
-        if not evacuees_exist:
-            return placement
-
-        refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
-        # Same canonical order as allocate() over the same population and
-        # references — the reindex cache key matches, so this is a cache
-        # hit whenever evacuate() follows the allocate() of the period.
-        order = sorted(vm_ids, key=lambda vm: (-refs[vm], vm))
-        permuted = self._permuted_costs(order, cost_array, name_index)
-        r = np.array([refs[vm] for vm in order], dtype=float)
-        slot_of = {vm: slot for slot, vm in enumerate(order)}
-
-        bins = {
-            server: _Bin(server, capacity)
-            for server in range(fleet)
-            if server not in failed
-        }
-        for vm, server in placement.assignment.items():
-            if server in failed:
-                continue
-            bin_ = bins[server]
-            slot = slot_of[vm]
-            if bin_.members:
-                members = np.asarray(bin_.members, dtype=np.intp)
-                row = permuted[slot, members]
-                bin_.pair_weight += float(row @ r[members]) + r[slot] * float(row.sum())
-            bin_.members.append(slot)
-            bin_.remaining -= r[slot]
-            bin_.ref_sum += r[slot]
-
-        resolution = self._config.cost_resolution
-        targets: dict[str, int] = {}
-        for vm in order:
-            if placement.assignment[vm] not in failed:
-                continue
-            slot = slot_of[vm]
-            demand = r[slot]
-            best_key: tuple | None = None
-            best_bin: _Bin | None = None
-            for server in sorted(bins):
-                bin_ = bins[server]
-                if demand > bin_.remaining + _FIT_EPS:
-                    continue
-                if bin_.members:
-                    members = np.asarray(bin_.members, dtype=np.intp)
-                    row = permuted[slot, members]
-                    cross = float(row @ r[members]) + demand * float(row.sum())
-                    total = bin_.ref_sum + demand
-                    cost = (
-                        (bin_.pair_weight + cross) / (total * len(bin_.members))
-                        if total > 0.0
-                        else 1.0
-                    )
-                    bucketed = (
-                        round(cost / resolution) * resolution
-                        if resolution > 0
-                        else cost
-                    )
-                    key = (0, -bucketed, -bin_.remaining, bin_.index)
-                else:
-                    key = (1, 0.0, 0.0, bin_.index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_bin = bin_
-            if best_bin is None and bins:
-                best_bin = min(bins.values(), key=lambda b: (-b.remaining, b.index))
-            if best_bin is None:
-                continue
-            bin_ = best_bin
-            if bin_.members:
-                members = np.asarray(bin_.members, dtype=np.intp)
-                row = permuted[slot, members]
-                bin_.pair_weight += float(row @ r[members]) + demand * float(row.sum())
-            bin_.members.append(slot)
-            bin_.remaining -= demand
-            bin_.ref_sum += demand
-            targets[vm] = bin_.index
-
-        assignment: dict[str, int] = {}
-        for vm, server in placement.assignment.items():
-            if server in failed:
-                if vm in targets:
-                    assignment[vm] = targets[vm]
-            else:
-                assignment[vm] = server
-        return Placement(assignment, num_servers=max(fleet, placement.num_servers))
 
     def _run_sweeps(
         self,
-        candidates: _StringCandidates | _IndexedCandidates,
+        candidates: _IndexedCandidates,
         capacity: float,
         estimate: int,
         max_servers: int | None,
     ) -> list[_Bin]:
-        """The Fig-2 sweep loop, agnostic of the candidate strategy."""
+        """The Fig-2 sweep loop (lines 9-18)."""
         bins = [_Bin(i, capacity) for i in range(estimate)]
         threshold = self._config.th_cost
         max_sweeps = self._config.max_sweeps
@@ -855,9 +623,7 @@ class CorrelationAwareAllocator:
         return bins
 
     @staticmethod
-    def _consolidate_extras(
-        bins: list[_Bin], size_of: Callable[[object], float], estimate: int
-    ) -> None:
+    def _consolidate_extras(bins: list[_Bin], r: np.ndarray, estimate: int) -> None:
         """Close bins opened beyond the Eqn-3 estimate when possible.
 
         The balanced (largest-``Rem``-first) fill can fragment capacity and
@@ -867,15 +633,16 @@ class CorrelationAwareAllocator:
         spare capacity of the estimated ones (the correlation threshold is
         vacuous by the time extras exist — they are opened only after it
         has fully degenerated).  A bin is only closed when *all* of its
-        VMs relocate.
+        VMs relocate.  Bin members are slots into ``r``, the slot-aligned
+        clamped references.
         """
         for extra in reversed(bins[estimate:]):
             if not extra.members:
                 continue
-            moves: list[tuple[object, _Bin]] = []
+            moves: list[tuple[int, _Bin]] = []
             planned: dict[int, float] = {}
             for member in extra.members:
-                demand = size_of(member)
+                demand = float(r[member])
                 target: _Bin | None = None
                 for bin_ in bins[:estimate]:
                     free = bin_.remaining - planned.get(bin_.index, 0.0)
@@ -890,6 +657,138 @@ class CorrelationAwareAllocator:
                 continue
             for member, target in moves:
                 target.members.append(member)
-                target.remaining -= size_of(member)
+                target.remaining -= float(r[member])
             extra.members.clear()
             extra.remaining = 0.0
+
+
+PairCostRow = Callable[[str, Sequence[str]], np.ndarray]
+"""``(vm, others) -> costs``: the Eqn-1 pair costs of ``vm`` against each
+of ``others``, in order."""
+
+
+def _cross_weight(
+    bin_: _Bin, vm: str, refs: Mapping[str, float], pair_costs: PairCostRow
+) -> float:
+    """``sum_j (r_j + r_vm) C(j, vm)`` over the members of a non-empty bin."""
+    row = pair_costs(vm, bin_.members)
+    member_refs = np.array([refs[member] for member in bin_.members], dtype=float)
+    return float(row @ member_refs) + refs[vm] * float(row.sum())
+
+
+def _join(bin_: _Bin, vm: str, refs: Mapping[str, float], pair_costs: PairCostRow) -> None:
+    """Commit ``vm`` to ``bin_``, updating the incremental ``R_S``/``T_S``."""
+    if bin_.members:
+        bin_.pair_weight += _cross_weight(bin_, vm, refs, pair_costs)
+    bin_.members.append(vm)
+    bin_.remaining -= refs[vm]
+    bin_.ref_sum += refs[vm]
+
+
+def _evacuate(
+    placement: Placement,
+    failed_servers: Sequence[int],
+    references: Mapping[str, float],
+    n_cores: int,
+    num_servers: int | None,
+    resolution: float,
+    pair_costs: PairCostRow,
+) -> Placement:
+    """The evacuation rule: re-place the failed servers' VMs without a rebuild.
+
+    The surviving bins' Eqn-2 state (``R_S`` and the weighted pair sum
+    ``T_S``) is rebuilt from ``placement`` with survivors joining in
+    assignment order.  Each evacuee (descending *clamped* reference, then
+    name) then joins the surviving bin that *maximises* the bucketed
+    prospective Eqn-2 cost among the bins it fits, scanned by ascending
+    index (ties: larger remaining capacity, then lower index); when no
+    non-empty bin fits, the lowest-index empty survivor is opened; when
+    nothing fits at all, the bin with the most remaining capacity is
+    *overcommitted* — an emergency re-placement prefers a violated QoS
+    target over an unhosted VM, so no correlation threshold gates
+    admission and ``validate_capacity`` is not enforced.  A VM stays
+    unplaced only when no surviving server exists.
+
+    References are clamped into ``[0, n_cores]`` exactly as in
+    :meth:`CorrelationAwareAllocator.allocate`.  Returns ``placement``
+    itself when no VM sits on a failed server, otherwise the amended
+    placement (original VM order preserved).
+    """
+    if n_cores <= 0:
+        raise ValueError("n_cores must be positive")
+    capacity = float(n_cores)
+    failed = {int(server) for server in failed_servers}
+    fleet = num_servers if num_servers is not None else placement.num_servers
+    if fleet < placement.num_servers:
+        raise ValueError(
+            f"num_servers {fleet} below the placement's {placement.num_servers}"
+        )
+    missing = [vm for vm in placement.vm_ids if vm not in references]
+    if missing:
+        raise ValueError(f"missing references for {missing}")
+    evacuees = [vm for vm, server in placement.assignment.items() if server in failed]
+    if not evacuees:
+        return placement
+
+    refs = {
+        vm: min(max(float(references[vm]), 0.0), capacity) for vm in placement.vm_ids
+    }
+    bins = {server: _Bin(server, capacity) for server in range(fleet) if server not in failed}
+    for vm, server in placement.assignment.items():
+        if server not in failed:
+            _join(bins[server], vm, refs, pair_costs)
+
+    targets: dict[str, int] = {}
+    for vm in sorted(evacuees, key=lambda vm: (-refs[vm], vm)):
+        demand = refs[vm]
+        best_key: tuple | None = None
+        best_bin: _Bin | None = None
+        for bin_ in bins.values():
+            if demand > bin_.remaining + _FIT_EPS:
+                continue
+            if bin_.members:
+                total = bin_.ref_sum + demand
+                cost = (
+                    (bin_.pair_weight + _cross_weight(bin_, vm, refs, pair_costs))
+                    / (total * len(bin_.members))
+                    if total > 0.0
+                    else 1.0
+                )
+                bucketed = round(cost / resolution) * resolution if resolution > 0 else cost
+                key = (0, -bucketed, -bin_.remaining, bin_.index)
+            else:
+                key = (1, 0.0, 0.0, bin_.index)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_bin = bin_
+        if best_bin is None and bins:
+            best_bin = min(bins.values(), key=lambda b: (-b.remaining, b.index))
+        if best_bin is None:
+            continue
+        _join(best_bin, vm, refs, pair_costs)
+        targets[vm] = best_bin.index
+
+    assignment: dict[str, int] = {}
+    for vm, server in placement.assignment.items():
+        if server in failed:
+            if vm in targets:
+                assignment[vm] = targets[vm]
+        else:
+            assignment[vm] = server
+    return Placement(assignment, num_servers=max(fleet, placement.num_servers))
+
+
+def _dense_rows(
+    order: Sequence[str], cost_array: np.ndarray, name_index: Mapping[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the dense inputs; return the float matrix and ``order``'s rows."""
+    cost_array = np.asarray(cost_array, dtype=float)
+    if cost_array.ndim != 2 or cost_array.shape[0] != cost_array.shape[1]:
+        raise ValueError(f"cost_array must be square, got shape {cost_array.shape}")
+    missing = [vm for vm in order if vm not in name_index]
+    if missing:
+        raise ValueError(f"name_index missing entries for {missing}")
+    rows = np.array([name_index[vm] for vm in order], dtype=np.intp)
+    if rows.size and (rows.min() < 0 or rows.max() >= cost_array.shape[0]):
+        raise ValueError("name_index points outside cost_array")
+    return cost_array, rows

@@ -266,8 +266,8 @@ class CostMatrix:
 
     @property
     def name_index(self) -> Mapping[str, int]:
-        """Read-only ``{name: positional index}`` map (the allocator's
-        fast path consumes this together with :meth:`as_array`)."""
+        """Read-only ``{name: positional index}`` map (the allocator
+        consumes this together with :meth:`as_array`)."""
         return MappingProxyType(self._index)
 
     @property
@@ -383,8 +383,8 @@ class StreamingCostMatrix:
 
     @property
     def name_index(self) -> Mapping[str, int]:
-        """Read-only ``{name: positional index}`` map (the allocator's
-        fast path consumes this together with :meth:`as_array`)."""
+        """Read-only ``{name: positional index}`` map (the allocator
+        consumes this together with :meth:`as_array`)."""
         return MappingProxyType(self._index)
 
     @property

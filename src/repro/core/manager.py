@@ -70,7 +70,7 @@ class ManagerConfig:
         percentile-reference horizons (see
         :class:`~repro.core.correlation.RollingCostHorizon`).
     allocator:
-        ``"exact"`` (dense Fig-2 fast path, the default) or ``"sharded"``
+        ``"exact"`` (dense Fig-2 allocator, the default) or ``"sharded"``
         (the two-level 100k-VM tier of :mod:`repro.core.sharding` —
         approximate but gated, single-window costs, no N×N matrix).
     sharding:
@@ -286,7 +286,6 @@ class PowerManager:
             placement = self._allocator.allocate(
                 list(window.names),
                 predicted,
-                matrix.cost,
                 config.n_cores,
                 max_servers=config.max_servers,
                 cost_array=matrix.as_array(),

@@ -12,8 +12,8 @@ a global matrix:
    :meth:`~repro.analysis.stats.BatchPSquare.marker_state` quantile
    markers, peak-to-mean ratio) and a seeded k-means groups VMs whose
    demand moves together.  O(N·W) — no pairwise work.
-2. **Allocate exactly per shard.**  Each shard runs the existing dense
-   fast path (:class:`~repro.core.allocation.CorrelationAwareAllocator`
+2. **Allocate exactly per shard.**  Each shard runs the exact dense
+   allocator (:class:`~repro.core.allocation.CorrelationAwareAllocator`
    over a shard-local :class:`~repro.core.correlation.CostMatrix`), so
    intra-shard decisions are bit-for-bit the paper's Fig-2 procedure.
    Per-shard matrices are O((N/S)²) — bounded by the shard-size cap.
@@ -53,10 +53,10 @@ from repro.core.allocation import (
     AllocationConfig,
     CapacityError,
     CorrelationAwareAllocator,
+    _evacuate,
 )
 from repro.core.correlation import NEUTRAL_COST, CostMatrix
 from repro.core.placement import Placement
-from repro.core.server_cost import prospective_server_cost
 from repro.core.vf_control import correlation_aware_frequency
 from repro.infrastructure.dvfs import FrequencyLadder
 from repro.traces.trace import ReferenceSpec, TraceSet
@@ -879,9 +879,7 @@ class ShardedAllocator:
             local = self._shard_allocator(shard).allocate(
                 list(member_names),
                 references,
-                matrix.cost,
                 n_cores,
-                None,
                 cost_array=matrix.as_array(),
                 name_index=matrix.name_index,
             )
@@ -938,109 +936,41 @@ class ShardedAllocator:
     ) -> Placement:
         """Re-place the failed servers' VMs against the sharded plan.
 
-        Same documented rule as the exact allocator's ``evacuate`` (and
-        the scalar Eqn-2 oracle in ``tests/test_faults.py``): evacuees in
-        descending-reference-then-name order each join the surviving bin
-        maximising the bucketed prospective Eqn-2 cost among fits (ties:
-        larger remaining capacity, then lower index), falling back to the
-        lowest-index empty survivor, then to overcommitting the roomiest
-        bin.  Pair costs come from :class:`ShardedCostView`, so
-        cross-shard evacuees are priced exactly.  Every shard that lost a
-        server *or* received an evacuee has its reindex cache dropped —
-        its bin membership no longer matches the cached canonical order.
+        Runs the exact tier's evacuation rule
+        (:func:`~repro.core.allocation._evacuate`, transcribed by the
+        scalar oracle in ``tests/test_faults.py``) with pair costs from
+        :class:`ShardedCostView`, so cross-shard evacuees are priced
+        exactly.  Every shard that lost a server *or* received an
+        evacuee has its reindex cache dropped — its bin membership no
+        longer matches the cached canonical order.
         """
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        plan = self._plan
-        if plan is None:
+        if self._plan is None:
             raise RuntimeError("evacuate() requires a prior allocate()")
-        failed = {int(server) for server in failed_servers}
-        fleet = num_servers if num_servers is not None else placement.num_servers
-        if fleet < placement.num_servers:
-            raise ValueError(
-                f"num_servers {fleet} below the placement's {placement.num_servers}"
-            )
-        vm_ids = list(placement.vm_ids)
-        missing = [vm for vm in vm_ids if vm not in references]
-        if missing:
-            raise ValueError(f"references missing for: {missing}")
-        evacuees = sorted(
-            (vm for vm in vm_ids if placement.assignment[vm] in failed),
-            key=lambda vm: (-float(references[vm]), vm),
+        cost = self.cost_view().cost
+
+        def pair_costs(vm: str, others: Sequence[str]) -> np.ndarray:
+            return np.array([cost(vm, other) for other in others], dtype=float)
+
+        amended = _evacuate(
+            placement,
+            failed_servers,
+            references,
+            n_cores,
+            num_servers,
+            self._allocation.cost_resolution,
+            pair_costs,
         )
-        if not evacuees:
+        if amended is placement:
             return placement
-
-        capacity = float(n_cores)
-        cost_fn = self.cost_view().cost
-        refs = {
-            vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids
-        }
-        members: dict[int, list[str]] = {
-            server: [] for server in range(fleet) if server not in failed
-        }
-        for vm in vm_ids:
-            server = placement.assignment[vm]
-            if server not in failed:
-                members[server].append(vm)
-        if not members:
-            # No surviving server at all: evacuees stay unplaced.
-            survivors = {
-                vm: server
-                for vm, server in placement.assignment.items()
-                if server not in failed
-            }
-            self._invalidate_shards(evacuees)
-            return Placement(survivors, num_servers=max(fleet, placement.num_servers))
-
-        resolution = self._allocation.cost_resolution
-        remaining = {
-            server: capacity - sum(refs[m] for m in bin_members)
-            for server, bin_members in members.items()
-        }
-        target: dict[str, int] = {}
-        for vm in evacuees:
-            need = refs[vm]
-            best_key = None
-            best_server = None
-            for server in sorted(members):
-                if need > remaining[server] + 1e-12:
-                    continue
-                bin_members = members[server]
-                if bin_members:
-                    cost = prospective_server_cost(bin_members, vm, refs, cost_fn)
-                    bucketed = (
-                        round(cost / resolution) * resolution
-                        if resolution > 0
-                        else cost
-                    )
-                    key = (0, -bucketed, -remaining[server], server)
-                else:
-                    key = (1, 0.0, 0.0, server)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_server = server
-            if best_server is None:
-                best_server = min(
-                    members, key=lambda server: (-remaining[server], server)
-                )
-            members[best_server].append(vm)
-            remaining[best_server] -= need
-            target[vm] = best_server
-
-        amended: dict[str, int] = {}
-        receivers: set[int] = set()
-        for vm in vm_ids:
-            if vm in target:
-                amended[vm] = target[vm]
-                receivers.add(target[vm])
-            else:
-                amended[vm] = placement.assignment[vm]
+        failed = {int(server) for server in failed_servers}
+        evacuees = [vm for vm, server in placement.assignment.items() if server in failed]
+        receivers = {amended.assignment[vm] for vm in evacuees if vm in amended.assignment}
         touched_vms = set(evacuees)
-        for server in receivers:
-            touched_vms.update(members[server])
+        touched_vms.update(
+            vm for vm, server in amended.assignment.items() if server in receivers
+        )
         self._invalidate_shards(touched_vms)
-        return Placement(amended, num_servers=max(fleet, placement.num_servers))
+        return amended
 
     def _invalidate_shards(self, vms: Iterable[str]) -> None:
         """Drop the reindex caches of every shard the evacuation touched.

@@ -60,7 +60,7 @@ def pearson_cost_adapter(
 
     Same mapping as :func:`pearson_dense_costs`, exposed as a
     string-keyed ``cost_fn`` for the Eqn-4 frequency controller (the
-    allocator itself takes the dense matrix through its fast path).
+    allocator takes the dense matrix itself).
     Pass a precomputed ``dense`` matrix and/or ``name_index`` to avoid
     recomputing them.  Section IV-A's argument is about
     computation/memory cost and peak-sensitivity, and this adapter lets
@@ -103,7 +103,6 @@ class PearsonProposedApproach(ProposedApproach):
         placement = manager.allocator.allocate(
             list(window.names),
             predicted,
-            cost_fn,
             n_cores,
             manager.config.max_servers,
             cost_array=dense,

@@ -70,7 +70,7 @@ class Setup2Config:
     fault-free path.
 
     ``allocator`` selects the proposed approach's allocation backend:
-    ``"exact"`` (the default dense Fig-2 fast path) or ``"sharded"``
+    ``"exact"`` (the default dense Fig-2 allocator) or ``"sharded"``
     (the approximate-but-gated two-level tier of
     :mod:`repro.core.sharding`, tuned by ``sharding``).  The baselines
     are unaffected either way.

@@ -302,7 +302,7 @@ class TestAllocatorEvacuate:
         traces, matrix, refs = self._population()
         allocator = CorrelationAwareAllocator()
         placement = allocator.allocate(
-            list(traces.names), refs, matrix.cost, 8, max_servers=6,
+            list(traces.names), refs, 8, max_servers=6,
             cost_array=matrix.as_array(), name_index=matrix.name_index,
         )
         failed = tuple(s for s in failed if s < placement.num_servers)
@@ -321,7 +321,7 @@ class TestAllocatorEvacuate:
         traces, matrix, refs = self._population()
         allocator = CorrelationAwareAllocator()
         placement = allocator.allocate(
-            list(traces.names), refs, matrix.cost, 8, max_servers=6,
+            list(traces.names), refs, 8, max_servers=6,
             cost_array=matrix.as_array(), name_index=matrix.name_index,
         )
         empty = [s for s in range(6) if s not in set(placement.assignment.values())]
@@ -352,6 +352,53 @@ class TestAllocatorEvacuate:
                 placement, (0,), {}, 8,
                 cost_array=matrix.as_array(), name_index=matrix.name_index,
             )
+
+
+class TestEvacuationClampedOrder:
+    """Both tiers order evacuees by the *clamped* reference, then name.
+
+    ``a`` (9.0) and ``b`` (10.0) both clamp to a full 8-core server, so
+    the name breaks the tie: ``a`` opens the first empty survivor.
+    Ordering on the raw reference would send ``b`` there instead.
+    """
+
+    REFS = {"a": 9.0, "b": 10.0, "c": 1.0}
+    PLACEMENT = Placement({"a": 0, "b": 0, "c": 1}, num_servers=4)
+    EXPECTED = {"a": 2, "b": 3, "c": 1}
+
+    def _window(self) -> TraceSet:
+        rng = np.random.default_rng(5)
+        return TraceSet(
+            UtilizationTrace(rng.uniform(0.2, 3.0, 120), 60.0, name=name)
+            for name in self.REFS
+        )
+
+    def _oracle(self, cost_fn, resolution):
+        clamped = {vm: min(max(ref, 0.0), 8.0) for vm, ref in self.REFS.items()}
+        return _oracle_evacuate(
+            self.PLACEMENT, (0,), clamped, cost_fn, 8.0, 4, resolution
+        )
+
+    def test_exact_tier(self):
+        matrix = CostMatrix.from_traces(self._window())
+        allocator = CorrelationAwareAllocator()
+        amended = allocator.evacuate(
+            self.PLACEMENT, (0,), self.REFS, 8,
+            cost_array=matrix.as_array(), name_index=matrix.name_index,
+        )
+        assert dict(amended.assignment) == self.EXPECTED
+        assert dict(amended.assignment) == self._oracle(
+            matrix.cost, allocator.config.cost_resolution
+        )
+
+    def test_sharded_tier(self):
+        allocator = ShardedAllocator(sharding=ShardingConfig(num_shards=1))
+        allocator.allocate(self._window(), self.REFS, 8)
+        amended = allocator.evacuate(self.PLACEMENT, (0,), self.REFS, 8)
+        assert dict(amended.assignment) == self.EXPECTED
+        assert dict(amended.assignment) == self._oracle(
+            allocator.cost_view().cost, allocator.config.cost_resolution
+        )
 
 
 class TestShardedEvacuate:

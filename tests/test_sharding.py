@@ -62,9 +62,7 @@ def _exact_placement(window: TraceSet, references: dict[str, float]):
     placement = CorrelationAwareAllocator().allocate(
         list(window.names),
         references,
-        matrix.cost,
         N_CORES,
-        None,
         cost_array=matrix.as_array(),
         name_index=matrix.name_index,
     )

@@ -10,13 +10,16 @@ kernels; these tests pin the contract that made that safe:
 * percentile-mode streaming matches a per-pair scalar
   :class:`RunningPercentile` reference within the existing property-test
   error bounds;
-* the allocator's indexed fast path produces placements identical to the
-  string-keyed scalar path on randomized instances;
+* the allocator's incremental, sweep-batched Fig-2 loop produces
+  placements identical to a scalar level-by-level transcription of Fig 2
+  (:func:`_oracle_allocate`) on randomized instances;
 * the vectorized batch kernels (:meth:`CostMatrix.from_traces`,
   :func:`pearson_cost_matrix`) match naive per-pair evaluation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import BatchPSquare, PSquarePercentile, RunningPercentile, pearson
-from repro.core.allocation import AllocationConfig, CorrelationAwareAllocator
+from repro.core.allocation import AllocationConfig, CapacityError, CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix, StreamingCostMatrix, pearson_cost_matrix
+from repro.core.placement import Placement
 from repro.core.server_cost import prospective_server_cost
 from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
 
@@ -35,6 +39,94 @@ def _random_traces(rng: np.random.Generator, n: int, samples: int) -> TraceSet:
         UtilizationTrace(rng.uniform(0.0, 4.0, size=samples), 1.0, f"vm{i:03d}")
         for i in range(n)
     )
+
+
+def _oracle_allocate(names, references, cost_fn, n_cores, config, max_servers=None):
+    """Scalar transcription of Fig 2's ALLOCATE phase, level by level.
+
+    Every candidate's prospective Eqn-2 cost is evaluated afresh through
+    ``prospective_server_cost``; each sweep places at most one VM (on the
+    roomiest server that admits one), and every unproductive sweep with a
+    fitting candidate somewhere degenerates the threshold by exactly one
+    ``alpha`` level.  Bins opened beyond the Eqn-3 estimate are then
+    drained into the estimated ones when all their VMs fit.
+    """
+    eps = 1e-12
+    capacity = float(n_cores)
+    refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in names}
+    unplaced = sorted(names, key=lambda vm: (-refs[vm], vm))
+    estimate = max(1, math.ceil(sum(refs.values()) / capacity - eps))
+    members = [[] for _ in range(estimate)]
+    remaining = [capacity] * estimate
+    threshold = config.th_cost
+    resolution = config.cost_resolution
+
+    def fitting(server):
+        return [vm for vm in unplaced if refs[vm] <= remaining[server] + eps]
+
+    def pick(server):
+        candidates = fitting(server)
+        if not candidates:
+            return None
+        if not members[server]:
+            return candidates[0]
+        best, best_key = None, None
+        for vm in candidates:
+            cost = prospective_server_cost(members[server], vm, refs, cost_fn)
+            if cost <= threshold:
+                continue
+            bucketed = round(cost / resolution) * resolution if resolution > 0 else cost
+            key = (-bucketed, -refs[vm], vm)
+            if best_key is None or key < best_key:
+                best, best_key = vm, key
+        return best
+
+    sweeps = 0
+    while unplaced:
+        sweeps += 1
+        if sweeps > config.max_sweeps:
+            raise CapacityError("oracle did not converge")
+        for server in sorted(range(len(members)), key=lambda s: (-remaining[s], s)):
+            vm = pick(server)
+            if vm is not None:
+                members[server].append(vm)
+                remaining[server] -= refs[vm]
+                unplaced.remove(vm)
+                break
+        else:
+            if any(fitting(server) for server in range(len(members))):
+                threshold *= config.alpha
+            else:
+                if max_servers is not None and len(members) >= max_servers:
+                    raise CapacityError("oracle ran out of servers")
+                members.append([])
+                remaining.append(capacity)
+
+    for extra in reversed(range(estimate, len(members))):
+        planned = [0.0] * estimate
+        moves = []
+        for vm in members[extra]:
+            target = next(
+                (
+                    server
+                    for server in range(estimate)
+                    if refs[vm] <= remaining[server] - planned[server] + eps
+                ),
+                None,
+            )
+            if target is None:
+                break
+            planned[target] += refs[vm]
+            moves.append((vm, target))
+        if members[extra] and len(moves) == len(members[extra]):
+            for vm, target in moves:
+                members[target].append(vm)
+                remaining[target] -= refs[vm]
+            members[extra] = []
+
+    assignment = {vm: server for server, vms in enumerate(members) for vm in vms}
+    num_servers = max_servers if max_servers is not None else len(members)
+    return Placement(assignment, num_servers=num_servers)
 
 
 class TestBatchPSquareEquivalence:
@@ -187,11 +279,10 @@ class TestBatchCostMatrixAgainstNaive:
 class TestAllocatorFastPathEquivalence:
     def _paths_agree(self, names, refs, matrix, config, n_cores, max_servers=None):
         allocator = CorrelationAwareAllocator(config)
-        slow = allocator.allocate(names, refs, matrix.cost, n_cores, max_servers)
+        slow = _oracle_allocate(names, refs, matrix.cost, n_cores, config, max_servers)
         fast = allocator.allocate(
             names,
             refs,
-            None,
             n_cores,
             max_servers,
             cost_array=matrix.as_array(),
@@ -250,11 +341,11 @@ class TestAllocatorFastPathEquivalence:
                 array[:, i] = array[i, :]
                 array[i, i] = 1.0
             warm = reused.allocate(
-                list(traces.names), refs, None, 8,
+                list(traces.names), refs, 8,
                 cost_array=array, name_index=matrix.name_index,
             )
             cold = CorrelationAwareAllocator().allocate(
-                list(traces.names), refs, None, 8,
+                list(traces.names), refs, 8,
                 cost_array=array, name_index=matrix.name_index,
             )
             assert dict(warm.assignment) == dict(cold.assignment)
@@ -270,11 +361,11 @@ class TestAllocatorFastPathEquivalence:
         for _period in range(3):
             refs = {vm: float(rng.uniform(0.1, 5.0)) for vm in traces.names}
             warm = reused.allocate(
-                list(traces.names), refs, None, 8,
+                list(traces.names), refs, 8,
                 cost_array=array, name_index=matrix.name_index,
             )
             cold = CorrelationAwareAllocator().allocate(
-                list(traces.names), refs, None, 8,
+                list(traces.names), refs, 8,
                 cost_array=array, name_index=matrix.name_index,
             )
             assert dict(warm.assignment) == dict(cold.assignment)
@@ -296,11 +387,11 @@ class TestAllocatorFastPathEquivalence:
             if period == 3:
                 reused.reset_cache()
             warm = reused.allocate(
-                names, refs, None, 8,
+                names, refs, 8,
                 cost_array=matrix.as_array(), name_index=matrix.name_index,
             )
             cold = CorrelationAwareAllocator().allocate(
-                names, refs, None, 8,
+                names, refs, 8,
                 cost_array=matrix.as_array(), name_index=matrix.name_index,
             )
             assert dict(warm.assignment) == dict(cold.assignment)
@@ -316,7 +407,7 @@ class TestAllocatorFastPathEquivalence:
         refs = matrix.references()
         allocator = CorrelationAwareAllocator()
         allocator.allocate(
-            list(traces.names), refs, None, 8,
+            list(traces.names), refs, 8,
             cost_array=matrix.as_array(), name_index=matrix.name_index,
         )
         cache = allocator._reindex_cache
@@ -329,11 +420,11 @@ class TestAllocatorFastPathEquivalence:
         perturbed[:, 2] = perturbed[2, :]
         perturbed[2, 2] = 1.0
         warm = allocator.allocate(
-            list(traces.names), refs, None, 8,
+            list(traces.names), refs, 8,
             cost_array=perturbed, name_index=matrix.name_index,
         )
         cold = CorrelationAwareAllocator().allocate(
-            list(traces.names), refs, None, 8,
+            list(traces.names), refs, 8,
             cost_array=perturbed, name_index=matrix.name_index,
         )
         assert dict(warm.assignment) == dict(cold.assignment)
@@ -344,7 +435,7 @@ class TestAllocatorFastPathEquivalence:
         refs = matrix.references()
         allocator = CorrelationAwareAllocator()
         allocator.allocate(
-            list(traces.names), refs, None, 8,
+            list(traces.names), refs, 8,
             cost_array=matrix.as_array(), name_index=matrix.name_index,
         )
         assert allocator._reindex_cache is not None
@@ -365,11 +456,12 @@ class TestAllocatorFastPathEquivalence:
         streaming.extend(traces.matrix.T)
         refs = streaming.references()
         allocator = CorrelationAwareAllocator()
-        slow = allocator.allocate(list(traces.names), refs, streaming.cost, 8)
+        slow = _oracle_allocate(
+            list(traces.names), refs, streaming.cost, 8, allocator.config
+        )
         fast = allocator.allocate(
             list(traces.names),
             refs,
-            None,
             8,
             cost_array=streaming.as_array(),
             name_index=streaming.name_index,
@@ -402,17 +494,10 @@ class TestAllocatorFastPathEquivalence:
         matrix = CostMatrix.from_traces(traces)
         refs = matrix.references()
         allocator = CorrelationAwareAllocator()
-        with pytest.raises(ValueError, match="cost_fn or cost_array"):
-            allocator.allocate(list(traces.names), refs, None, 8)
-        with pytest.raises(ValueError, match="name_index"):
-            allocator.allocate(
-                list(traces.names), refs, None, 8, cost_array=matrix.as_array()
-            )
         with pytest.raises(ValueError, match="square"):
             allocator.allocate(
                 list(traces.names),
                 refs,
-                None,
                 8,
                 cost_array=np.ones((4, 3)),
                 name_index=matrix.name_index,
@@ -421,7 +506,6 @@ class TestAllocatorFastPathEquivalence:
             allocator.allocate(
                 list(traces.names),
                 refs,
-                None,
                 8,
                 cost_array=matrix.as_array(),
                 name_index={"vm000": 0},

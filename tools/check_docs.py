@@ -128,7 +128,7 @@ def check_bench_table(errors: list[str]) -> None:
     expected = {
         "cost-matrix build": [kernels["build_ms"]],
         "streaming cost update": [kernels["update_ms"]],
-        "indexed fast path, cold": [kernels["allocate_ms"]],
+        "ALLOCATE (cold)": [kernels["allocate_ms"]],
         "warm cross-period sweep": [sweep["warm_ms"]],
         "profile v2 vs v1": [dcgen["v2_ms"], dcgen["v1_ms"]],
         "synthesis v2 vs v1": [synthesis["v2_ms"], synthesis["v1_ms"]],
