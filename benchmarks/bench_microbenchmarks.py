@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.stats import fold_marker_states, quantile_fold_fractions
 from repro.baselines.bfd import best_fit_decreasing
 from repro.core.allocation import CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix, StreamingCostMatrix
-from repro.traces.trace import TraceSet, UtilizationTrace
+from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,27 @@ def test_cost_matrix_batch_build(benchmark, window):
     assert matrix.size == 40
 
 
+def test_marker_parts(benchmark, window):
+    """Per-window P90 marker state of all 780 pairs (the p2 horizon part)."""
+    singles, pairs, count = benchmark(CostMatrix.marker_parts, window, ReferenceSpec(90.0))
+    assert pairs.shape[0] == 40 * 39 // 2 and count == 720
+
+
+def test_fold_marker_states(benchmark, window):
+    """Three-window fold of the pair marker states (the p2 horizon fold)."""
+    fractions = quantile_fold_fractions(90.0)
+    states = [
+        CostMatrix.marker_parts(
+            TraceSet.from_matrix(window.matrix * scale, window.names, window.period_s),
+            ReferenceSpec(90.0),
+            fractions,
+        )[1]
+        for scale in (0.8, 1.0, 1.2)
+    ]
+    folded = benchmark(fold_marker_states, states, [720, 720, 720], 90.0, fractions)
+    assert folded.shape == (40 * 39 // 2,)
+
+
 def test_streaming_cost_update(benchmark, window):
     """One O(N^2) streaming update — the per-sample online cost."""
     streaming = StreamingCostMatrix(window.names)
@@ -41,8 +63,6 @@ def test_streaming_cost_update(benchmark, window):
 
 def test_streaming_percentile_update(benchmark, window):
     """Per-sample cost in percentile mode (BatchPSquare over all pairs)."""
-    from repro.traces.trace import ReferenceSpec
-
     streaming = StreamingCostMatrix(window.names, ReferenceSpec(90.0))
     vector = window.matrix[:, 0]
     for column in window.matrix.T[:6]:  # past the P-square warm-up buffer

@@ -104,9 +104,10 @@ HORIZON_WINDOW_SAMPLES = 240     # 20-minute windows of 5 s samples
 HORIZON_DEPTH = 3                # the approaches' default horizon_periods
 HORIZON_PERCENTILE = 90.0
 # Warm per-period percentile fold vs the bit-exact peak-mode fold on the
-# same geometry (the ~2x ROADMAP target; ~3.0x measured on this box —
-# the pair-sum sort costs what the peak pays for its max reduction plus
-# the marker fold) and vs the full horizon rebuild it replaces.
+# same geometry (the ~2x ROADMAP target; the pair-sum sort costs what the
+# peak pays for its max reduction, plus the marker fold — see
+# ``ratio_vs_peak`` in BENCH_scaling.json for the measured figure) and vs
+# the full horizon rebuild it replaces.
 HORIZON_P2_MAX_RATIO_VS_PEAK = 3.5
 HORIZON_P2_MIN_SPEEDUP_VS_REBUILD = 2.5
 HORIZON_P2_MAX_REL_DEVIATION = 0.10

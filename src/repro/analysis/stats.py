@@ -123,6 +123,11 @@ def quantile_fold_fractions(q: float) -> np.ndarray:
 #: per-state q-markers), far below the marker-compression error it rides on.
 _FOLD_BISECTIONS = 12
 
+#: Streams bisected together by :func:`fold_marker_states`: a chunk's
+#: marker-major ``(K, markers, chunk)`` slab (three 13-marker float32
+#: states: ~1.3 MB) and its per-pass scratch stay cache-resident.
+_FOLD_CHUNK_STREAMS = 8192
+
 
 def fold_marker_states(
     marker_heights: Sequence[np.ndarray] | np.ndarray,
@@ -136,7 +141,8 @@ def fold_marker_states(
     ``(n_streams, len(fractions))`` — each row non-decreasing marker
     heights whose cumulative probabilities are ``fractions`` (default:
     the five P-square fractions, i.e. exactly what
-    :meth:`BatchPSquare.marker_state` emits).  ``counts`` gives each
+    :meth:`BatchPSquare.marker_state` emits).  A sequence of ``K`` such
+    arrays is read in place, never stacked.  ``counts`` gives each
     state's sample count; the merged estimate is the ``q``-th quantile of
     the *mixture* of the states' piecewise-linear CDFs, weighted by
     count — the quantile of the concatenated underlying samples, up to
@@ -146,6 +152,9 @@ def fold_marker_states(
     ``inf {x : F(x) >= p}``, which lands exactly on atoms (duplicate
     marker heights from constant or idle streams) instead of smearing
     them, and degenerates to the state's own ``q`` marker when ``K == 1``.
+    Streams are bisected in cache-sized chunks; every stream sees the
+    same float operations in the same order whatever the chunking, so
+    the result does not depend on it.
 
     The bisection runs in the dtype of ``marker_heights``: float64
     states (the :class:`BatchPSquare` default) fold at full precision,
@@ -153,13 +162,17 @@ def fold_marker_states(
     over and halve the memory bandwidth of the loop — rounding at 1e-7
     relative is noise against the marker-compression error either way.
     """
-    heights = np.asarray(marker_heights)
-    if not np.issubdtype(heights.dtype, np.floating):
-        heights = heights.astype(float)
-    dtype = heights.dtype
-    if heights.ndim != 3:
-        raise ValueError(f"marker_heights must stack to 3-D, got shape {heights.shape}")
-    num_states, _, num_markers = heights.shape
+    states = [np.asarray(state) for state in marker_heights]
+    shapes = {state.shape for state in states}
+    if len(shapes) != 1 or states[0].ndim != 2:
+        raise ValueError(
+            f"marker_heights must stack to 3-D, got states of shapes {sorted(shapes)}"
+        )
+    dtype = np.result_type(*states)
+    if not np.issubdtype(dtype, np.floating):
+        dtype = np.dtype(float)
+    num_states = len(states)
+    num_streams, num_markers = states[0].shape
     fr = p2_marker_fractions(q) if fractions is None else np.asarray(fractions, dtype=float)
     if fr.ndim != 1 or fr.size != num_markers:
         raise ValueError(
@@ -173,33 +186,84 @@ def fold_marker_states(
     if weights.shape != (num_states,) or np.any(weights <= 0):
         raise ValueError("counts must supply one positive sample count per state")
     if num_states == 1:
-        return heights[0, :, target].astype(float)
-    weights = (weights / weights.sum()).astype(dtype)
+        return states[0][:, target].astype(float)
+    if num_markers < 2:
+        raise ValueError("marker states need at least two markers to interpolate")
+    weights = (weights / weights.sum()).astype(dtype)[:, None]
     fr = fr.astype(dtype)
+    fr_low = fr[:-1]
+    fr_step = fr[1:] - fr[:-1]
+    folded = np.empty(num_streams, dtype=float)
+    # Chunk edges; a trailing one-stream chunk is merged into its
+    # neighbour, because NumPy sums a (K, 1) array over K pairwise rather
+    # than in order, which would round differently from a wider chunk.
+    edges = list(range(0, num_streams, _FOLD_CHUNK_STREAMS)) + [num_streams]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        slab = np.empty((num_states, num_markers, stop - start), dtype=dtype)
+        for k, state in enumerate(states):
+            slab[k] = state[start:stop].T
+        folded[start:stop] = _bisect_mixture(slab, weights, fr_low, fr_step, target, p)
+    return folded
+
+
+def _bisect_mixture(
+    slab: np.ndarray,
+    weights: np.ndarray,
+    fr_low: np.ndarray,
+    fr_step: np.ndarray,
+    target: int,
+    p: float,
+) -> np.ndarray:
+    """:func:`fold_marker_states` over one marker-major ``(K, markers, c)`` slab."""
+    num_states, num_markers, width = slab.shape
+    dtype = slab.dtype
     p_t = dtype.type(p)
     half = dtype.type(0.5)
+    one = dtype.type(1.0)
+    flat = slab.reshape(-1)
+    # Flat offset of (state k, marker 0, stream s) in ``slab``.
+    base = (
+        np.arange(num_states, dtype=np.intp)[:, None] * (num_markers * width)
+        + np.arange(width, dtype=np.intp)[None, :]
+    )
+    mid = np.empty(width, dtype=dtype)
+    hit = np.empty((num_states, width), dtype=bool)
+    count = np.empty((num_states, width), dtype=np.min_scalar_type(num_markers))
+    cell = np.empty((num_states, width), dtype=np.intp)
+    at = np.empty((num_states, width), dtype=np.intp)
 
     # The mixture quantile is bracketed by the per-state q markers.
-    low = heights[:, :, target].min(axis=0)
-    high = heights[:, :, target].max(axis=0)
+    low = slab[:, target, :].min(axis=0)
+    high = slab[:, target, :].max(axis=0)
     for _ in range(_FOLD_BISECTIONS):
-        mid = half * (low + high)
-        # Piecewise-linear CDF of every state at ``mid``, all states at
-        # once: locate the bracketing markers, interpolate their
-        # fractions (duplicate-marker atoms degenerate to a step).
-        idx = (mid[None, :, None] >= heights).sum(axis=2)
-        cell = np.clip(idx, 1, num_markers - 1)
-        lower = np.take_along_axis(heights, (cell - 1)[:, :, None], axis=2)[..., 0]
-        upper = np.take_along_axis(heights, cell[:, :, None], axis=2)[..., 0]
+        np.add(low, high, out=mid)
+        np.multiply(half, mid, out=mid)
+        # Piecewise-linear CDF of every state at ``mid``: count the
+        # markers at or below it (one compare-and-accumulate per marker),
+        # interpolate the bracketing markers' fractions (duplicate-marker
+        # atoms degenerate to a step).
+        count.fill(0)
+        for m in range(num_markers):
+            np.greater_equal(mid, slab[:, m, :], out=hit)
+            count += hit
+        np.clip(count, 1, num_markers - 1, out=count)
+        np.subtract(count, 1, out=cell)
+        np.multiply(cell, width, out=at)
+        at += base
+        lower = flat.take(at)
+        at += width
+        upper = flat.take(at)
         span = upper - lower
         sloped = span > 0.0
-        t = np.where(sloped, (mid - lower) / np.where(sloped, span, dtype.type(1.0)), mid >= upper)
+        t = np.where(sloped, (mid - lower) / np.where(sloped, span, one), mid >= upper)
         np.clip(t, 0.0, 1.0, out=t)
-        mixture = (weights[:, None] * (fr[cell - 1] + t * (fr[cell] - fr[cell - 1]))).sum(axis=0)
+        mixture = (weights * (fr_low.take(cell) + t * fr_step.take(cell))).sum(axis=0)
         above = mixture >= p_t
         high = np.where(above, mid, high)
         low = np.where(above, low, mid)
-    return high.astype(float)
+    return high
 
 
 def percentile(samples: Sequence[float] | np.ndarray, q: float) -> float:

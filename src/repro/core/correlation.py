@@ -37,7 +37,7 @@ property tests compare these kernels against.
 from __future__ import annotations
 
 from types import MappingProxyType
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,9 +57,11 @@ __all__ = [
 #: v/f controller does not scale below their (zero) demand.
 NEUTRAL_COST = 1.0
 
-#: Element budget for one broadcast block of ``CostMatrix.from_traces``
-#: (rows x N x samples floats), sized to keep peak memory around 64 MB.
-_BLOCK_ELEMENTS = 8_000_000
+#: Element budget for one pair-sum strip (rows x columns x samples
+#: floats): 2 MB of float64 scratch, so each strip is built, reduced and
+#: reused while it is still cache-resident instead of streaming a large
+#: temporary through main memory.
+_BLOCK_ELEMENTS = 250_000
 
 
 def _pair_cost(ref_i: float, ref_j: float, ref_joint: float) -> float:
@@ -82,6 +84,42 @@ def _cost_matrix_from_parts(singles: np.ndarray, joint: np.ndarray) -> np.ndarra
         matrix = np.where(joint > 0.0, numerator / joint, NEUTRAL_COST)
     np.fill_diagonal(matrix, NEUTRAL_COST)
     return matrix
+
+
+def _pair_strips(data: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Walk the upper triangle of pair sums in cache-sized row strips.
+
+    Yields ``(start, stop, sums)`` with ``sums[r, c] = data[start + r] +
+    data[start + c]`` — rows ``start:stop`` against columns ``start:``,
+    which covers every pair ``(i, j >= i)`` whose smaller index falls in
+    the strip (plus the strip's own lower corner).  Strips hold about
+    :data:`_BLOCK_ELEMENTS` elements, never less than one row, and share
+    one scratch buffer in ``data``'s dtype: each strip must be consumed
+    before the next is requested.
+    """
+    n, samples = data.shape
+    scratch = np.empty(
+        min(max(_BLOCK_ELEMENTS, n * samples), n * n * samples), dtype=data.dtype
+    )
+    start = 0
+    while start < n:
+        cols = n - start
+        rows = max(1, _BLOCK_ELEMENTS // max(1, cols * samples))
+        stop = min(start + rows, n)
+        sums = scratch[: (stop - start) * cols * samples].reshape(stop - start, cols, samples)
+        np.add(data[start:stop, None, :], data[None, start:, :], out=sums)
+        yield start, stop, sums
+        start = stop
+
+
+def _mirror_upper(matrix: np.ndarray) -> None:
+    """Copy a square matrix's strict upper triangle into its lower one.
+
+    Row by row rather than through ``tril_indices`` scatters: each copy
+    reads one column segment and writes one contiguous row segment.
+    """
+    for i in range(1, matrix.shape[0]):
+        matrix[i, :i] = matrix[:i, i]
 
 
 def _build_index(names: Sequence[str]) -> dict[str, int]:
@@ -133,11 +171,12 @@ class CostMatrix:
     def from_traces(cls, traces: TraceSet, spec: ReferenceSpec | None = None) -> CostMatrix:
         """Build the exact cost matrix from a :class:`TraceSet` window.
 
-        Joint references are computed with a blocked broadcast over all
-        pairs (no per-pair Python loop): each block materialises a
-        ``(rows, N, samples)`` sum of trace pairs and reduces it with a
-        single ``max`` (peak references) or ``percentile`` (off-peak
-        references) pass.  Block size is chosen to bound peak memory.
+        Joint references are computed with a strip-wise broadcast over
+        the upper triangle (no per-pair Python loop): each strip fills a
+        cache-sized ``(rows, N - start, samples)`` scratch of trace-pair
+        sums and reduces it with a single ``max`` (peak references) or
+        ``percentile`` (off-peak references) pass before the next strip
+        reuses the buffer.
         """
         spec = spec or ReferenceSpec()
         refs, joint = cls.reference_parts(traces, spec)
@@ -155,28 +194,24 @@ class CostMatrix:
         ``max`` of the per-window reductions, exactly — which lets a
         rolling-horizon caller fold cached per-window parts instead of
         re-reducing the whole horizon every period (see
-        :meth:`repro.sim.approaches.ProposedApproach.decide`).
+        :meth:`RollingCostHorizon._push_peak`).
         """
         spec = spec or ReferenceSpec()
         data = traces.matrix
         n = traces.num_traces
-        samples = data.shape[1]
         refs = data.max(axis=1) if spec.is_peak else np.percentile(data, spec.percentile, axis=1)
-        # Only the upper triangle (plus diagonal) is reduced; the matrix
-        # is symmetric, so the lower triangle is mirrored afterwards.
+        # Only the upper triangle (plus diagonal) is reduced, one
+        # cache-resident strip at a time; the matrix is symmetric, so the
+        # lower triangle is mirrored afterwards.
         joint = np.empty((n, n), dtype=float)
-        start = 0
-        while start < n:
-            rows = max(1, _BLOCK_ELEMENTS // max(1, (n - start) * samples))
-            stop = min(start + rows, n)
-            sums = data[start:stop, None, :] + data[None, start:, :]
+        for start, stop, sums in _pair_strips(data):
             if spec.is_peak:
-                joint[start:stop, start:] = sums.max(axis=2)
+                sums.max(axis=2, out=joint[start:stop, start:])
             else:
-                joint[start:stop, start:] = np.percentile(sums, spec.percentile, axis=2)
-            start = stop
-        lower = np.tril_indices(n, k=-1)
-        joint[lower] = joint.T[lower]
+                joint[start:stop, start:] = np.percentile(
+                    sums, spec.percentile, axis=2, overwrite_input=True
+                )
+        _mirror_upper(joint)
         return refs.astype(float), joint
 
     @classmethod
@@ -199,7 +234,8 @@ class CostMatrix:
         upper-triangle ``(n * (n - 1) / 2, m)`` in
         ``np.triu_indices(n, 1)`` order, and ``count`` is the window's
         sample count (the fold weight).  Each marker row is extracted
-        from one sorted pass over the window's (pair-sum) samples, so the
+        from one sorted pass over the window's (pair-sum) samples, walked
+        in the same cache-sized strips as :meth:`reference_parts`, so the
         per-window cost is the same O(N²W)-shaped reduction the peak
         fast path pays — not the O(N²WH) horizon rebuild.
 
@@ -220,28 +256,22 @@ class CostMatrix:
         )
         data = traces.matrix
         n = traces.num_traces
-        samples = data.shape[1]
         single_markers = _sorted_markers(np.sort(data, axis=1), fractions)
-        tri_rows, tri_cols = np.triu_indices(n, k=1)
-        pair_markers = np.empty((tri_rows.size, fractions.size), dtype=np.float32)
+        pair_markers = np.empty((n * (n - 1) // 2, fractions.size), dtype=np.float32)
         # Pair sums are reduced in float32 scratch: halves the bandwidth
         # of the dominant sort, with rounding far below the gated fold
         # error (see the docstring).
         narrow = data.astype(np.float32)
-        start = 0
-        while start < n:
-            rows = max(1, _BLOCK_ELEMENTS // max(1, (n - start) * samples))
-            stop = min(start + rows, n)
-            sums = narrow[start:stop, None, :] + narrow[None, start:, :]
+        for start, stop, sums in _pair_strips(narrow):
             sums.sort(axis=2)
             block = _sorted_markers(sums, fractions)
-            # Every unordered pair whose smaller index falls in this row
-            # block lives at block[i - start, j - start] (columns span
-            # ``start:`` and j > i >= start).
-            sel = (tri_rows >= start) & (tri_rows < stop)
-            pair_markers[sel] = block[tri_rows[sel] - start, tri_cols[sel] - start]
-            start = stop
-        return single_markers, pair_markers, samples
+            # Row i's pairs (i, j > i) sit at block[i - start, i - start + 1:]
+            # and fill the contiguous condensed range starting at
+            # i * n - i * (i + 1) / 2.
+            for row, i in enumerate(range(start, stop)):
+                offset = i * n - i * (i + 1) // 2
+                pair_markers[offset : offset + n - i - 1] = block[row, row + 1 :]
+        return single_markers, pair_markers, data.shape[1]
 
     @classmethod
     def from_parts(
@@ -865,18 +895,15 @@ class RollingCostHorizon:
             refs = singles[:, self._target].copy()
             folded_pairs = pairs[:, self._target].copy()
         else:
+            # The cached states are handed over as lists: the fold reads
+            # them chunk by chunk, so they are never stacked into one
+            # (K, pairs, markers) copy.
             counts = np.array([part[2] for part in self._marker_parts], dtype=float)
             refs = fold_marker_states(
-                np.stack([part[0] for part in self._marker_parts]),
-                counts,
-                q,
-                self._fractions,
+                [part[0] for part in self._marker_parts], counts, q, self._fractions
             )
             folded_pairs = fold_marker_states(
-                np.stack([part[1] for part in self._marker_parts]),
-                counts,
-                q,
-                self._fractions,
+                [part[1] for part in self._marker_parts], counts, q, self._fractions
             )
         n = len(window.names)
         joint = np.empty((n, n), dtype=float)
@@ -884,9 +911,10 @@ class RollingCostHorizon:
         # twice its own reference (the cost matrix overwrites the
         # diagonal with NEUTRAL_COST either way).
         np.fill_diagonal(joint, 2.0 * refs)
-        rows, cols = np.triu_indices(n, k=1)
-        joint[rows, cols] = folded_pairs
-        joint[cols, rows] = folded_pairs
+        for i in range(n - 1):
+            offset = i * n - i * (i + 1) // 2
+            joint[i, i + 1 :] = folded_pairs[offset : offset + n - i - 1]
+        _mirror_upper(joint)
         return CostMatrix.from_parts(window.names, refs, joint, self._spec)
 
     def _concatenated(self, window: TraceSet) -> TraceSet:
@@ -1039,18 +1067,44 @@ class RollingCostHorizon:
         # horizon must re-snapshot to the same bytes as a never-restored
         # twin even when the snapshot crossed a serializer that widened
         # or narrowed dtypes (the sharded-restore bug of the same shape).
-        self._names = None if state["names"] is None else tuple(state["names"])
-        self._parts = [
+        names = None if state["names"] is None else tuple(state["names"])
+        parts = [
             (np.array(refs, dtype=float), np.array(joint, dtype=float))
             for refs, joint in state["parts"]
         ]
-        self._marker_parts = [
+        marker_parts = [
             (np.array(single, dtype=float), np.array(pair, dtype=np.float32), int(count))
             for single, pair, count in state["marker_parts"]
         ]
-        self._buffer = (
-            None if state["buffer"] is None else np.array(state["buffer"], dtype=float)
-        )
+        buffer = None if state["buffer"] is None else np.array(state["buffer"], dtype=float)
+        # Shapes are checked against the names here, at the boundary: a
+        # mismatch would otherwise surface as a broadcast error in the
+        # middle of the next push.
+        n = 0 if names is None else len(names)
+        if names is None and (parts or marker_parts or buffer is not None):
+            raise ValueError("snapshot caches windows but names no VMs")
+        for refs, joint in parts:
+            if refs.shape != (n,) or joint.shape != (n, n):
+                raise ValueError(
+                    f"snapshot reference parts must have shapes ({n},) and ({n}, {n})"
+                )
+        m = 0 if self._fractions is None else self._fractions.size
+        for single, pair, count in marker_parts:
+            if single.shape != (n, m) or pair.shape != (n * (n - 1) // 2, m):
+                raise ValueError(
+                    f"snapshot marker parts must have shapes ({n}, {m}) and "
+                    f"({n * (n - 1) // 2}, {m})"
+                )
+            if count <= 0:
+                raise ValueError("snapshot marker-part counts must be positive")
+        if buffer is not None and (buffer.ndim != 2 or buffer.shape[0] != n):
+            raise ValueError(f"snapshot buffer must have {n} rows")
+        if filled > (0 if buffer is None else buffer.shape[1]):
+            raise ValueError("snapshot filled count exceeds the buffer width")
+        self._names = names
+        self._parts = parts
+        self._marker_parts = marker_parts
+        self._buffer = buffer
         self._filled = filled
 
 
