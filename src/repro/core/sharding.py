@@ -17,12 +17,15 @@ a global matrix:
    over a shard-local :class:`~repro.core.correlation.CostMatrix`), so
    intra-shard decisions are bit-for-bit the paper's Fig-2 procedure.
    Per-shard matrices are O((N/S)²) — bounded by the shard-size cap.
-3. **Coordinate via compressed summaries.**  Shards exchange only
-   :class:`ShardSummary` records — folded per-member quantile marker
-   states (:func:`~repro.analysis.stats.fold_marker_states`) plus
-   segment envelope peaks — and a rebalancing pass migrates boundary
-   VMs into a neighbouring shard when the cross-shard summary cost
-   (an Eqn-1 analogue over envelopes) beats the VM's intra-shard cost.
+3. **Rebalance on compressed per-shard signals.**  One pass reduces
+   each shard to its size, its folded per-member quantile marker state
+   (:func:`~repro.analysis.stats.fold_marker_states`), its aggregate
+   peak and its segment envelope peaks, then migrates boundary VMs into
+   a neighbouring shard when the cross-shard cost (an Eqn-1 analogue
+   over envelopes) beats the VM's intra-shard cost.
+4. **Consolidate across shards.**  The stitched per-shard placements
+   leave up to one under-filled tail bin per shard; a final pass
+   dissolves such bins into the survivors.
 
 This is the repository's second *approximate-but-gated* feature (after
 ``horizon_mode="p2"``): sharded placements are not bit-identical to the
@@ -34,10 +37,12 @@ anchors hold regardless of configuration:
 
 * ``num_shards=1`` degenerates to the exact allocator, bit-identically
   (same cost values, same canonical packing order).
-* All signature, clustering and summary computation happens in
-  *canonical* (name-sorted) VM order, so placements and folded summary
-  states are invariant — byte-for-byte — under permutations of the
-  input window.
+* All signature, clustering and rebalance computation happens in
+  *canonical* (name-sorted) VM order, so labels and placements are
+  invariant — byte-for-byte — under permutations of the input window.
+
+The tier's only knobs are the shard count (:class:`ShardingConfig`);
+every other parameter is a module constant below.
 """
 
 from __future__ import annotations
@@ -63,13 +68,11 @@ from repro.traces.trace import ReferenceSpec, TraceSet
 
 __all__ = [
     "ENERGY_DEVIATION_BOUND",
-    "ShardSummary",
     "ShardedAllocator",
     "ShardedCostView",
     "ShardingConfig",
     "placement_energy_proxy",
     "shard_population",
-    "shard_summaries",
 ]
 
 #: Committed bound on the relative static-energy-proxy deviation of a
@@ -79,25 +82,42 @@ __all__ = [
 #: ``allocate_sharded`` bench gate; tightening it is a contract change.
 ENERGY_DEVIATION_BOUND = 0.10
 
+#: Time segments in the correlation-signature profile and the rebalance
+#: envelopes (clamped to the window length).
+_SIGNATURE_SEGMENTS = 8
+#: Interior percentile tracked by the per-VM marker states and folded
+#: into each shard's demand level.
+_SIGNATURE_QUANTILE = 90.0
+#: Lloyd iterations of the k-means, and the seed of its initialisation
+#: (the only stochastic step).
+_CLUSTER_ITERATIONS = 8
+_CLUSTER_SEED = 0
+#: A VM migrates only when the best cross-shard cost exceeds its
+#: intra-shard cost by this relative margin.
+_REBALANCE_MARGIN = 0.05
+#: Hard cap on any shard's population, as a multiple of the mean
+#: ``N / num_shards`` — bounds the worst-case per-shard O(n²) work;
+#: oversized clusters are split deterministically.
+_MAX_SHARD_FILL = 2.0
+#: Cross-shard consolidation stops after this many consecutive bins
+#: that cannot be dissolved.
+_CONSOLIDATION_PATIENCE = 32
 
-def _require_number(value, name: str, *, minimum: float, integral: bool = False):
-    """NaN-safe numeric field validation (mirrors ``ManagerConfig``)."""
+
+def _positive_int(value, name: str) -> int:
+    """NaN-safe positive-integer field validation (mirrors ``ManagerConfig``)."""
     try:
         numeric = float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number >= {minimum}, got {value!r}") from None
-    if not math.isfinite(numeric) or numeric < minimum:
-        raise ValueError(f"{name} must be a finite number >= {minimum}, got {value!r}")
-    if integral:
-        if numeric != int(numeric):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(numeric)
-    return numeric
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+    if not math.isfinite(numeric) or numeric < 1 or numeric != int(numeric):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(numeric)
 
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Knobs of the two-level sharded allocation scheme.
+    """Shard count of the two-level sharded allocation scheme.
 
     Parameters
     ----------
@@ -106,97 +126,17 @@ class ShardingConfig:
     target_shard_vms:
         Intended shard population when ``num_shards`` is automatic; the
         per-shard dense matrices are O(``target_shard_vms``²).
-    signature_segments:
-        Time segments in the correlation-signature profile and the
-        summary envelopes (clamped to the window length).
-    signature_quantile:
-        Interior percentile (0, 100) tracked by the per-VM marker states
-        and folded into :attr:`ShardSummary.quantile`.
-    cluster_iterations:
-        Lloyd iterations of the seeded k-means.
-    rebalance_passes:
-        Boundary-migration passes after clustering (0 disables).
-    rebalance_margin:
-        A VM migrates only when the best cross-shard summary cost
-        exceeds its intra-shard cost by this relative margin.
-    max_shard_fill:
-        Hard cap on any shard's population, as a multiple of the mean
-        ``N / num_shards`` — bounds the worst-case per-shard O(n²) work;
-        oversized clusters are split deterministically.
-    consolidation_patience:
-        The stitched placement inherits up to one under-filled tail bin
-        per shard; a cross-shard consolidation pass dissolves such bins
-        (emptiest first, all-or-nothing, best-fit-decreasing into the
-        survivors) and stops after this many consecutive bins that
-        cannot be dissolved.  ``0`` disables the pass.  Never runs on a
-        single-shard plan, which stays bit-identical to the exact
-        allocator.
-    seed:
-        Seed of the k-means initialisation (the only stochastic step).
     """
 
     num_shards: int | None = None
     target_shard_vms: int = 256
-    signature_segments: int = 8
-    signature_quantile: float = 90.0
-    cluster_iterations: int = 8
-    rebalance_passes: int = 1
-    rebalance_margin: float = 0.05
-    max_shard_fill: float = 2.0
-    consolidation_patience: int = 32
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_shards is not None:
-            object.__setattr__(
-                self,
-                "num_shards",
-                _require_number(self.num_shards, "num_shards", minimum=1, integral=True),
-            )
-        for name, minimum in (
-            ("target_shard_vms", 1),
-            ("signature_segments", 1),
-            ("cluster_iterations", 1),
-        ):
-            object.__setattr__(
-                self, name, _require_number(getattr(self, name), name, minimum=minimum, integral=True)
-            )
+            object.__setattr__(self, "num_shards", _positive_int(self.num_shards, "num_shards"))
         object.__setattr__(
-            self,
-            "rebalance_passes",
-            _require_number(self.rebalance_passes, "rebalance_passes", minimum=0, integral=True),
+            self, "target_shard_vms", _positive_int(self.target_shard_vms, "target_shard_vms")
         )
-        object.__setattr__(
-            self,
-            "consolidation_patience",
-            _require_number(
-                self.consolidation_patience,
-                "consolidation_patience",
-                minimum=0,
-                integral=True,
-            ),
-        )
-        object.__setattr__(
-            self,
-            "rebalance_margin",
-            _require_number(self.rebalance_margin, "rebalance_margin", minimum=0.0),
-        )
-        object.__setattr__(
-            self,
-            "max_shard_fill",
-            _require_number(self.max_shard_fill, "max_shard_fill", minimum=1.0),
-        )
-        object.__setattr__(
-            self, "seed", _require_number(self.seed, "seed", minimum=0, integral=True)
-        )
-        quantile = _require_number(
-            self.signature_quantile, "signature_quantile", minimum=0.0
-        )
-        if not 0.0 < quantile < 100.0:
-            raise ValueError(
-                f"signature_quantile must lie strictly inside (0, 100), got {quantile}"
-            )
-        object.__setattr__(self, "signature_quantile", quantile)
 
     def resolve_num_shards(self, population: int) -> int:
         """The effective shard count for ``population`` VMs."""
@@ -205,27 +145,6 @@ class ShardingConfig:
         if self.num_shards is not None:
             return min(self.num_shards, population)
         return min(population, max(1, math.ceil(population / self.target_shard_vms)))
-
-
-@dataclass(frozen=True)
-class ShardSummary:
-    """The compressed record one shard exposes to the others.
-
-    ``quantile`` is the shard's typical per-member demand level at
-    ``signature_quantile`` — the per-member marker states merged through
-    :func:`~repro.analysis.stats.fold_marker_states` in canonical member
-    order, so it is byte-stable under permutations of the input window.
-    ``envelope`` holds the segment peaks of the shard's *aggregate*
-    demand signal and ``peak`` its overall peak; together they support
-    the Eqn-1 analogue the rebalancing pass evaluates without touching
-    any member trace.
-    """
-
-    size: int
-    total_reference: float
-    quantile: float
-    peak: float
-    envelope: tuple[float, ...]
 
 
 # --------------------------------------------------------------------------
@@ -237,29 +156,27 @@ def _canonical_order(names: Sequence[str]) -> np.ndarray:
     return np.argsort(np.asarray(names, dtype=object), kind="stable")
 
 
-def _segment_edges(num_samples: int, segments: int) -> np.ndarray:
+def _segment_edges(num_samples: int) -> np.ndarray:
     """Strictly increasing segment boundaries over ``num_samples``."""
-    count = min(int(segments), int(num_samples))
+    count = min(_SIGNATURE_SEGMENTS, int(num_samples))
     return (np.arange(count + 1, dtype=np.intp) * num_samples) // count
 
 
-def _signature_features(
-    data: np.ndarray, config: ShardingConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _signature_features(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-VM correlation signatures from a canon-ordered demand matrix.
 
     Returns ``(features (N, F), marker_heights (N, 5), count)`` — the
-    marker states are reused by the shard summaries so each window is
+    marker states are reused by the rebalance pass so each window is
     scanned once.
     """
     num_vms, num_samples = data.shape
-    edges = _segment_edges(num_samples, config.signature_segments)
+    edges = _segment_edges(num_samples)
     widths = np.diff(edges).astype(float)
     profile = np.add.reduceat(data, edges[:-1], axis=1) / widths
     mean = data.mean(axis=1)
     peak = data.max(axis=1)
 
-    estimator = BatchPSquare(config.signature_quantile, num_vms)
+    estimator = BatchPSquare(_SIGNATURE_QUANTILE, num_vms)
     estimator.fold_window(np.ascontiguousarray(data.T))
     heights, count = estimator.marker_state()
 
@@ -286,15 +203,15 @@ def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.maximum(p2 - 2.0 * (points @ centers.T) + c2, 0.0)
 
 
-def _cluster(features: np.ndarray, k: int, config: ShardingConfig) -> np.ndarray:
+def _cluster(features: np.ndarray, k: int) -> np.ndarray:
     """Seeded Lloyd k-means over signature features (labels, canon order)."""
     num_vms = features.shape[0]
     if k >= num_vms:
         return np.arange(num_vms, dtype=np.intp)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(_CLUSTER_SEED)
     centers = features[np.sort(rng.choice(num_vms, size=k, replace=False))].copy()
     labels = np.zeros(num_vms, dtype=np.intp)
-    for _ in range(config.cluster_iterations):
+    for _ in range(_CLUSTER_ITERATIONS):
         distances = _pairwise_sq(features, centers)
         labels = distances.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
@@ -327,9 +244,9 @@ def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
     return rank[inverse].astype(np.intp)
 
 
-def _shard_size_cap(num_vms: int, num_shards: int, config: ShardingConfig) -> int:
+def _shard_size_cap(num_vms: int, num_shards: int) -> int:
     """Hard per-shard population cap (bounds per-shard O(n²) work)."""
-    return max(1, math.ceil(config.max_shard_fill * num_vms / num_shards))
+    return max(1, math.ceil(_MAX_SHARD_FILL * num_vms / num_shards))
 
 
 def _split_oversized(labels: np.ndarray, cap: int) -> np.ndarray:
@@ -346,57 +263,23 @@ def _split_oversized(labels: np.ndarray, cap: int) -> np.ndarray:
     return _relabel_first_occurrence(labels)
 
 
-def _build_summaries(
-    data: np.ndarray,
-    labels: np.ndarray,
-    marker_heights: np.ndarray,
-    count: int,
-    refs: np.ndarray,
-    config: ShardingConfig,
-) -> tuple[ShardSummary, ...]:
-    """Per-shard compressed summaries from canon-ordered inputs."""
-    num_shards = int(labels.max()) + 1
-    num_samples = data.shape[1]
-    edges = _segment_edges(num_samples, config.signature_segments)
-    aggregate = np.zeros((num_shards, num_samples))
-    np.add.at(aggregate, labels, data)
-    envelopes = np.maximum.reduceat(aggregate, edges[:-1], axis=1)
-    peaks = aggregate.max(axis=1)
-    summaries = []
-    for shard in range(num_shards):
-        members = np.flatnonzero(labels == shard)
-        states = np.ascontiguousarray(marker_heights[members][:, None, :])
-        counts = np.full(members.size, count, dtype=np.intp)
-        folded = fold_marker_states(states, counts, config.signature_quantile)
-        summaries.append(
-            ShardSummary(
-                size=int(members.size),
-                total_reference=float(refs[members].sum()),
-                quantile=float(folded[0]),
-                peak=float(peaks[shard]),
-                envelope=tuple(float(v) for v in envelopes[shard]),
-            )
-        )
-    return tuple(summaries)
-
-
 def _rebalance(
     data: np.ndarray,
     labels: np.ndarray,
     marker_heights: np.ndarray,
     count: int,
-    refs: np.ndarray,
     capacity: float,
-    config: ShardingConfig,
 ) -> np.ndarray:
-    """Migrate boundary VMs between shards on summary-cost evidence.
+    """Migrate boundary VMs between shards on compressed per-shard evidence.
 
-    For each VM the pass compares an Eqn-1 analogue over compressed
-    summaries: ``(peak_v + peak_S) / peak(envelope_v + envelope_S)`` —
+    Each shard is reduced to its size, its folded per-member quantile
+    level, and the peak and segment envelope of its aggregate demand.
+    For each VM the pass compares an Eqn-1 analogue over those
+    envelopes: ``(peak_v + peak_S) / peak(envelope_v + envelope_S)`` —
     high when the VM's demand profile anti-correlates with the target
     shard's aggregate (exactly the pairs Fig-2 wants co-located).  A VM
     moves to the best foreign shard when that cross cost beats its
-    intra-shard cost by ``rebalance_margin``, subject to the population
+    intra-shard cost by ``_REBALANCE_MARGIN``, subject to the population
     cap and a folded-quantile demand guard (a shard whose typical
     per-member demand is already high stops admitting).  Moves apply
     greedily in canonical order against live counts, so the result is
@@ -405,148 +288,99 @@ def _rebalance(
     labels = labels.copy()
     num_vms, num_samples = data.shape
     num_shards = int(labels.max()) + 1
-    if num_shards < 2 or config.rebalance_passes == 0:
+    if num_shards < 2:
         return labels
-    edges = _segment_edges(num_samples, config.signature_segments)
+    edges = _segment_edges(num_samples)
     vm_envelope = np.maximum.reduceat(data, edges[:-1], axis=1)
     vm_peak = data.max(axis=1)
-    cap = _shard_size_cap(num_vms, num_shards, config)
-    margin = 1.0 + config.rebalance_margin
+    cap = _shard_size_cap(num_vms, num_shards)
 
-    for _ in range(config.rebalance_passes):
-        summaries = _build_summaries(data, labels, marker_heights, count, refs, config)
-        envelopes = np.array([s.envelope for s in summaries])
-        peaks = np.array([s.peak for s in summaries])
-        sizes = np.array([s.size for s in summaries])
-        quantiles = np.array([s.quantile for s in summaries])
-        # Folded-quantile demand guard: the compressed cross-shard signal
-        # for "this shard is already hot".  Admission stops once the
-        # shard's typical member demand would exceed its fair share of
-        # the population-wide folded demand, scaled by max_shard_fill.
-        mean_load = float((sizes * quantiles).sum()) / num_shards
-        admits = (sizes + 1) * quantiles <= max(config.max_shard_fill * mean_load, capacity)
+    aggregate = np.zeros((num_shards, num_samples))
+    np.add.at(aggregate, labels, data)
+    envelopes = np.maximum.reduceat(aggregate, edges[:-1], axis=1)
+    peaks = aggregate.max(axis=1)
+    sizes = np.bincount(labels, minlength=num_shards)
+    quantiles = np.empty(num_shards)
+    for shard in range(num_shards):
+        members = np.flatnonzero(labels == shard)
+        states = np.ascontiguousarray(marker_heights[members][:, None, :])
+        counts = np.full(members.size, count, dtype=np.intp)
+        quantiles[shard] = fold_marker_states(states, counts, _SIGNATURE_QUANTILE)[0]
+    # Folded-quantile demand guard: the compressed cross-shard signal
+    # for "this shard is already hot".  Admission stops once the
+    # shard's typical member demand would exceed its fair share of
+    # the population-wide folded demand, scaled by _MAX_SHARD_FILL.
+    mean_load = float((sizes * quantiles).sum()) / num_shards
+    admits = (sizes + 1) * quantiles <= max(_MAX_SHARD_FILL * mean_load, capacity)
 
-        own_env = envelopes[labels]
-        env_minus = np.maximum(own_env - vm_envelope, 0.0)
-        own_joint = (vm_envelope + env_minus).max(axis=1)
-        own_peak = env_minus.max(axis=1)
-        own_cost = np.where(
-            own_joint > 0.0, (vm_peak + own_peak) / np.where(own_joint > 0.0, own_joint, 1.0), NEUTRAL_COST
+    own_env = envelopes[labels]
+    env_minus = np.maximum(own_env - vm_envelope, 0.0)
+    own_joint = (vm_envelope + env_minus).max(axis=1)
+    own_peak = env_minus.max(axis=1)
+    own_cost = np.where(
+        own_joint > 0.0, (vm_peak + own_peak) / np.where(own_joint > 0.0, own_joint, 1.0), NEUTRAL_COST
+    )
+    # The sole member of a shard never migrates (the move would just
+    # rename the shard) — also keeps every shard non-empty.
+    own_cost[sizes[labels] <= 1] = np.inf
+
+    best_cost = np.full(num_vms, -np.inf)
+    best_shard = np.zeros(num_vms, dtype=np.intp)
+    chunk = max(1, 4_000_000 // max(1, num_shards * vm_envelope.shape[1]))
+    for start in range(0, num_vms, chunk):
+        stop = min(start + chunk, num_vms)
+        joint = (vm_envelope[start:stop, None, :] + envelopes[None, :, :]).max(axis=2)
+        cross = (vm_peak[start:stop, None] + peaks[None, :]) / np.where(
+            joint > 0.0, joint, 1.0
         )
-        # The sole member of a shard never migrates (the move would just
-        # rename the shard) — also keeps every shard non-empty.
-        own_cost[sizes[labels] <= 1] = np.inf
+        cross[joint <= 0.0] = NEUTRAL_COST
+        cross[np.arange(stop - start), labels[start:stop]] = -np.inf
+        cross[:, sizes >= cap] = -np.inf
+        cross[:, ~admits] = -np.inf
+        best_shard[start:stop] = cross.argmax(axis=1)
+        best_cost[start:stop] = cross[np.arange(stop - start), best_shard[start:stop]]
 
-        best_cost = np.full(num_vms, -np.inf)
-        best_shard = np.zeros(num_vms, dtype=np.intp)
-        chunk = max(1, 4_000_000 // max(1, num_shards * vm_envelope.shape[1]))
-        for start in range(0, num_vms, chunk):
-            stop = min(start + chunk, num_vms)
-            joint = (vm_envelope[start:stop, None, :] + envelopes[None, :, :]).max(axis=2)
-            cross = (vm_peak[start:stop, None] + peaks[None, :]) / np.where(
-                joint > 0.0, joint, 1.0
-            )
-            cross[joint <= 0.0] = NEUTRAL_COST
-            cross[np.arange(stop - start), labels[start:stop]] = -np.inf
-            cross[:, sizes >= cap] = -np.inf
-            cross[:, ~admits] = -np.inf
-            best_shard[start:stop] = cross.argmax(axis=1)
-            best_cost[start:stop] = cross[np.arange(stop - start), best_shard[start:stop]]
-
-        movers = np.flatnonzero(best_cost > own_cost * margin)
-        if movers.size == 0:
-            break
-        live = sizes.copy()
-        moved = False
-        for vm in movers:
-            source, target = labels[vm], best_shard[vm]
-            if live[target] >= cap or live[source] <= 1:
-                continue
-            live[source] -= 1
-            live[target] += 1
-            labels[vm] = target
-            moved = True
-        if not moved:
-            break
+    live = sizes.copy()
+    for vm in np.flatnonzero(best_cost > own_cost * (1.0 + _REBALANCE_MARGIN)):
+        source, target = labels[vm], best_shard[vm]
+        if live[target] >= cap or live[source] <= 1:
+            continue
+        live[source] -= 1
+        live[target] += 1
+        labels[vm] = target
     return _relabel_first_occurrence(labels)
 
 
-def _compute_labels(
-    data: np.ndarray,
-    refs: np.ndarray,
-    capacity: float,
-    config: ShardingConfig,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Full canon-order sharding: signatures → k-means → rebalance → cap.
-
-    Returns ``(labels, marker_heights, count)``.
-    """
+def _compute_labels(data: np.ndarray, capacity: float, config: ShardingConfig) -> np.ndarray:
+    """Full canon-order sharding: signatures → k-means → rebalance → cap."""
     num_vms = data.shape[0]
     k = config.resolve_num_shards(num_vms)
     if k <= 1:
-        return np.zeros(num_vms, dtype=np.intp), np.empty((num_vms, 0)), 0
-    features, heights, count = _signature_features(data, config)
-    labels = _relabel_first_occurrence(_cluster(features, k, config))
-    labels = _rebalance(data, labels, heights, count, refs, capacity, config)
-    cap = _shard_size_cap(num_vms, int(labels.max()) + 1, config)
-    return _split_oversized(labels, cap), heights, count
+        return np.zeros(num_vms, dtype=np.intp)
+    features, heights, count = _signature_features(data)
+    labels = _relabel_first_occurrence(_cluster(features, k))
+    labels = _rebalance(data, labels, heights, count, capacity)
+    cap = _shard_size_cap(num_vms, int(labels.max()) + 1)
+    return _split_oversized(labels, cap)
 
 
 def shard_population(
     window: TraceSet,
     config: ShardingConfig | None = None,
-    references: Mapping[str, float] | None = None,
     n_cores: int = 1,
 ) -> np.ndarray:
     """Shard labels for ``window`` (aligned to ``window.names`` order).
 
     The public probe for tests and notebooks: labels are computed in
     canonical (name-sorted) VM order internally, so a permuted window
-    yields identically sharded VMs.  ``references`` feeds the rebalance
-    demand guard; absent, the window's own references are used.
+    yields identically sharded VMs.  ``n_cores`` feeds the rebalance
+    demand guard.
     """
-    config = config or ShardingConfig()
     order = _canonical_order(window.names)
-    data = window.matrix[order]
-    if references is None:
-        refs = data.max(axis=1)
-    else:
-        refs = np.array([float(references[window.names[i]]) for i in order])
-    labels, _, _ = _compute_labels(data, refs, float(n_cores), config)
+    labels = _compute_labels(window.matrix[order], float(n_cores), config or ShardingConfig())
     out = np.empty(len(window.names), dtype=np.intp)
     out[order] = labels
     return out
-
-
-def shard_summaries(
-    window: TraceSet,
-    labels: Sequence[int] | np.ndarray,
-    config: ShardingConfig | None = None,
-    references: Mapping[str, float] | None = None,
-) -> tuple[ShardSummary, ...]:
-    """Compressed per-shard summaries for ``labels`` over ``window``.
-
-    ``labels`` aligns with ``window.names``; summaries are computed over
-    canonical member order, so folding is byte-stable under window
-    permutations (the property ``tests/test_sharding.py`` pins).
-    """
-    config = config or ShardingConfig()
-    order = _canonical_order(window.names)
-    data = window.matrix[order]
-    canon_labels = np.asarray(labels, dtype=np.intp)[order]
-    if canon_labels.shape != (len(window.names),):
-        raise ValueError("labels must supply one shard id per trace")
-    if canon_labels.min() < 0:
-        raise ValueError("shard labels must be non-negative")
-    canon_labels = _relabel_first_occurrence(canon_labels)
-    if references is None:
-        refs = data.max(axis=1)
-    else:
-        refs = np.array([float(references[window.names[i]]) for i in order])
-    estimator = BatchPSquare(config.signature_quantile, data.shape[0])
-    estimator.fold_window(np.ascontiguousarray(data.T))
-    heights, count = estimator.marker_state()
-    return _build_summaries(data, canon_labels, heights, count, refs, config)
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +391,6 @@ def _consolidate_bins(
     assignment: dict[str, int],
     refs: Mapping[str, float],
     capacity: float,
-    patience: int,
 ) -> dict[str, int]:
     """Dissolve under-filled bins across shards (in place, then renumber).
 
@@ -568,7 +401,8 @@ def _consolidate_bins(
     bins emptiest-first and moves a bin's VMs (descending demand, then
     name) into the best-fit survivors, all-or-nothing: a bin whose
     members cannot *all* be re-placed without overcommit is kept intact.
-    ``patience`` consecutive failed dissolutions end the pass.
+    ``_CONSOLIDATION_PATIENCE`` consecutive failed dissolutions end the
+    pass.
 
     Deterministic and order-free: bins are keyed by server index,
     members and targets are tie-broken by name / lowest index, so the
@@ -578,7 +412,7 @@ def _consolidate_bins(
     bins: dict[int, list[str]] = {}
     for vm in sorted(assignment):
         bins.setdefault(assignment[vm], []).append(vm)
-    if patience > 0 and len(bins) > 1:
+    if len(bins) > 1:
         ids = np.array(sorted(bins), dtype=np.intp)
         position = {int(server): i for i, server in enumerate(ids)}
         remaining = np.array(
@@ -587,7 +421,7 @@ def _consolidate_bins(
         victims = sorted(bins, key=lambda server: (-remaining[position[server]], server))
         misses = 0
         for victim in victims:
-            if misses >= patience:
+            if misses >= _CONSOLIDATION_PATIENCE:
                 break
             movers = sorted(bins[victim], key=lambda vm: (-refs[vm], vm))
             trial = remaining.copy()
@@ -621,44 +455,34 @@ def _consolidate_bins(
     return {vm: renumber[server] for vm, server in assignment.items()}
 
 
-class _ShardPlan:
-    """Frozen artefacts of the latest sharded allocate (cost lookups)."""
+class ShardedCostView:
+    """The latest sharded plan, as pairwise Eqn-1 cost lookups.
 
-    __slots__ = (
-        "names",
-        "index",
-        "labels",
-        "data",
-        "period_s",
-        "offsets",
-        "bins",
-        "matrices",
-        "singles",
-        "summaries",
-    )
+    Same-shard pairs read the shard's exact dense matrix; cross-shard
+    pairs are computed on demand from the retained window rows — exact
+    Eqn-1 values either way, just never materialized as an N×N array.
+    Quacks like :class:`~repro.core.correlation.CostMatrix` where the
+    frequency and evacuation layers need it (``names`` + ``cost``).
+    """
+
+    __slots__ = ("names", "index", "labels", "data", "matrices", "singles", "_spec")
 
     def __init__(
         self,
         names: tuple[str, ...],
         labels: np.ndarray,
         data: np.ndarray,
-        period_s: float,
-        offsets: tuple[int, ...],
-        bins: tuple[int, ...],
         matrices: tuple[CostMatrix, ...],
         singles: np.ndarray,
-        summaries: tuple[ShardSummary, ...],
+        spec: ReferenceSpec,
     ) -> None:
         self.names = names
         self.index = {name: i for i, name in enumerate(names)}
         self.labels = labels
         self.data = data
-        self.period_s = period_s
-        self.offsets = offsets
-        self.bins = bins
         self.matrices = matrices
         self.singles = singles
-        self.summaries = summaries
+        self._spec = spec
 
     @property
     def num_shards(self) -> int:
@@ -673,37 +497,17 @@ class _ShardPlan:
                 shards.add(int(self.labels[index]))
         return shards
 
-
-class ShardedCostView:
-    """Pairwise Eqn-1 cost lookups over a sharded plan.
-
-    Same-shard pairs read the shard's exact dense matrix; cross-shard
-    pairs are computed on demand from the retained window rows — exact
-    Eqn-1 values either way, just never materialized as an N×N array.
-    Quacks like :class:`~repro.core.correlation.CostMatrix` where the
-    frequency and evacuation layers need it (``names`` + ``cost``).
-    """
-
-    def __init__(self, plan: _ShardPlan, spec: ReferenceSpec) -> None:
-        self._plan = plan
-        self._spec = spec
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return self._plan.names
-
     def cost(self, a: str, b: str) -> float:
-        plan = self._plan
         if a == b:
             return NEUTRAL_COST
-        ia, ib = plan.index[a], plan.index[b]
-        shard_a, shard_b = plan.labels[ia], plan.labels[ib]
+        ia, ib = self.index[a], self.index[b]
+        shard_a, shard_b = self.labels[ia], self.labels[ib]
         if shard_a == shard_b:
-            return plan.matrices[shard_a].cost(a, b)
-        joint = self._spec.of(plan.data[ia] + plan.data[ib])
+            return self.matrices[shard_a].cost(a, b)
+        joint = self._spec.of(self.data[ia] + self.data[ib])
         if joint <= 0.0:
             return NEUTRAL_COST
-        return float((plan.singles[ia] + plan.singles[ib]) / joint)
+        return float((self.singles[ia] + self.singles[ib]) / joint)
 
 
 class ShardedAllocator:
@@ -715,13 +519,15 @@ class ShardedAllocator:
     checkpoint layers drive either interchangeably.  Differences:
 
     * :meth:`allocate` takes the monitoring *window* (it must shard and
-      summarize the raw traces), not a prebuilt cost matrix.
+      cluster the raw traces), not a prebuilt cost matrix.
     * Per-shard :class:`CorrelationAwareAllocator` instances persist
       across periods, so each shard's cross-period reindex cache warms
-      exactly as in the exact path.  Population swaps and cross-shard
-      evacuations invalidate the affected *per-shard* caches — dropping
-      only a global cache would leave stale per-shard pins (the PR-6/7
-      interaction this class exists to close).
+      exactly as in the exact path.  Each cache is keyed by its shard's
+      exact member order, so a population swap re-keys it on the next
+      :meth:`allocate`; shards beyond the new plan's count are dropped
+      there.  Membership deltas and cross-shard evacuations invalidate
+      the affected *per-shard* caches — dropping only a global cache
+      would leave stale per-shard pins.
     """
 
     def __init__(
@@ -734,8 +540,7 @@ class ShardedAllocator:
         self._sharding = sharding or ShardingConfig()
         self._spec = reference or ReferenceSpec()
         self._allocators: dict[int, CorrelationAwareAllocator] = {}
-        self._population: tuple[str, ...] | None = None
-        self._plan: _ShardPlan | None = None
+        self._plan: ShardedCostView | None = None
 
     @property
     def config(self) -> AllocationConfig:
@@ -750,16 +555,11 @@ class ShardedAllocator:
         """Shard count of the latest :meth:`allocate` (0 before any)."""
         return 0 if self._plan is None else self._plan.num_shards
 
-    @property
-    def last_summaries(self) -> tuple[ShardSummary, ...]:
-        """Compressed summaries of the latest :meth:`allocate`."""
-        return () if self._plan is None else self._plan.summaries
-
     def cost_view(self) -> ShardedCostView:
         """Pairwise cost lookups over the latest :meth:`allocate`."""
         if self._plan is None:
             raise RuntimeError("cost_view() requires a prior allocate()")
-        return ShardedCostView(self._plan, self._spec)
+        return self._plan
 
     def reset_cache(self) -> None:
         """Drop every per-shard reindex cache and the current plan."""
@@ -767,7 +567,6 @@ class ShardedAllocator:
             allocator.reset_cache()
         self._allocators = {}
         self._plan = None
-        self._population = None
 
     def apply_membership(
         self, added: Sequence[str] = (), removed: Sequence[str] = ()
@@ -781,34 +580,8 @@ class ShardedAllocator:
         Shards whose membership *shifts* under the next plan are safe
         either way — per-shard caches are keyed by their exact member
         order and self-invalidate on mismatch.
-
-        The expected population is updated so the next
-        :meth:`allocate`'s population-change guard recognises the new
-        name set as *this* delta rather than a wholesale swap (which
-        would reset every sibling shard).  Population changes that
-        arrive without a preceding ``apply_membership`` still take the
-        legacy full-reset path.
         """
-        added = tuple(added)
-        removed_set = set(removed)
-        if self._population is None or (not added and not removed_set):
-            return
-        current = set(self._population)
-        # Unknown removals are harmless no-ops (a VM admitted and
-        # retired between allocations never entered the population).
-        removed_set.intersection_update(current)
-        if not added and not removed_set:
-            return
-        collide = [vm for vm in added if vm in current and vm not in removed_set]
-        if collide:
-            raise ValueError(f"VMs already in the population: {collide!r}")
-        survivors = current.difference(removed_set)
-        new_population = survivors.union(added)
-        if not new_population:
-            self.reset_cache()
-            return
-        self._invalidate_shards(removed_set.union(added))
-        self._population = tuple(sorted(new_population))
+        self._invalidate_shards(set(removed).union(added))
 
     def _shard_allocator(self, shard: int) -> CorrelationAwareAllocator:
         allocator = self._allocators.get(shard)
@@ -842,31 +615,16 @@ class ShardedAllocator:
 
         order = _canonical_order(names)
         canon_names = tuple(names[i] for i in order)
-        if self._population != canon_names:
-            if self._population is not None:
-                # Population swap: every per-shard cache pins dead VMs.
-                self.reset_cache()
-            self._population = canon_names
-
         data = window.matrix[order]
         data.flags.writeable = False
         capacity = float(n_cores)
-        refs = np.array(
-            [min(max(float(references[vm]), 0.0), capacity) for vm in canon_names]
-        )
-        labels, heights, count = _compute_labels(data, refs, capacity, self._sharding)
+        labels = _compute_labels(data, capacity, self._sharding)
         num_shards = int(labels.max()) + 1
-        if num_shards > 1:
-            summaries = _build_summaries(data, labels, heights, count, refs, self._sharding)
-        else:
-            estimator = BatchPSquare(self._sharding.signature_quantile, data.shape[0])
-            estimator.fold_window(np.ascontiguousarray(data.T))
-            heights, count = estimator.marker_state()
-            summaries = _build_summaries(data, labels, heights, count, refs, self._sharding)
+        # A shard id past the new plan's count holds a dead population.
+        for shard in [shard for shard in self._allocators if shard >= num_shards]:
+            del self._allocators[shard]
 
         assignment: dict[str, int] = {}
-        offsets: list[int] = []
-        bins: list[int] = []
         matrices: list[CostMatrix] = []
         total_bins = 0
         for shard in range(num_shards):
@@ -883,8 +641,6 @@ class ShardedAllocator:
                 cost_array=matrix.as_array(),
                 name_index=matrix.name_index,
             )
-            offsets.append(total_bins)
-            bins.append(local.num_servers)
             for vm, server in local.assignment.items():
                 assignment[vm] = server + total_bins
             total_bins += local.num_servers
@@ -894,10 +650,8 @@ class ShardedAllocator:
             # Cross-shard consolidation: dissolve the per-shard tail
             # bins the stitching fragmented.  Skipped on single-shard
             # plans, which must stay bit-identical to the exact path.
-            clamped = dict(zip(canon_names, refs.tolist(), strict=True))
-            assignment = _consolidate_bins(
-                assignment, clamped, capacity, self._sharding.consolidation_patience
-            )
+            clamped = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in canon_names}
+            assignment = _consolidate_bins(assignment, clamped, capacity)
             total_bins = 1 + max(assignment.values())
 
         if max_servers is not None and total_bins > max_servers:
@@ -910,16 +664,8 @@ class ShardedAllocator:
             singles = data.max(axis=1)
         else:
             singles = np.array([self._spec.of(row) for row in data])
-        self._plan = _ShardPlan(
-            names=canon_names,
-            labels=labels,
-            data=data,
-            period_s=window.period_s,
-            offsets=tuple(offsets),
-            bins=tuple(bins),
-            matrices=tuple(matrices),
-            singles=singles,
-            summaries=summaries,
+        self._plan = ShardedCostView(
+            canon_names, labels, data, tuple(matrices), singles, self._spec
         )
         # Re-emit in original window order (cosmetic: Placement semantics
         # are order-free, but the engine's diffs read better this way).
@@ -946,7 +692,7 @@ class ShardedAllocator:
         """
         if self._plan is None:
             raise RuntimeError("evacuate() requires a prior allocate()")
-        cost = self.cost_view().cost
+        cost = self._plan.cost
 
         def pair_costs(vm: str, others: Sequence[str]) -> np.ndarray:
             return np.array([cost(vm, other) for other in others], dtype=float)
@@ -973,7 +719,7 @@ class ShardedAllocator:
         return amended
 
     def _invalidate_shards(self, vms: Iterable[str]) -> None:
-        """Drop the reindex caches of every shard the evacuation touched.
+        """Drop the reindex caches of every shard owning one of ``vms``.
 
         Shard membership is resolved through the plan's per-VM labels,
         never through server-index ranges: consolidation and prior
@@ -1006,11 +752,7 @@ class ShardedAllocator:
                 "names": plan.names,
                 "labels": plan.labels.copy(),
                 "data": plan.data.copy(),
-                "period_s": plan.period_s,
-                "offsets": plan.offsets,
-                "bins": plan.bins,
                 "singles": plan.singles.copy(),
-                "summaries": plan.summaries,
                 "matrices": [
                     {
                         "names": matrix.names,
@@ -1023,7 +765,6 @@ class ShardedAllocator:
                 ],
             }
         return {
-            "population": self._population,
             "allocators": {
                 shard: allocator.snapshot()
                 for shard, allocator in sorted(self._allocators.items())
@@ -1033,7 +774,6 @@ class ShardedAllocator:
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._population = state["population"]
         self._allocators = {}
         for shard, payload in state["allocators"].items():
             allocator = CorrelationAwareAllocator(self._allocation)
@@ -1060,16 +800,13 @@ class ShardedAllocator:
                     self._spec,
                 )
             )
-        self._plan = _ShardPlan(
-            names=tuple(plan_state["names"]),
-            labels=np.ascontiguousarray(plan_state["labels"], dtype=np.intp),
-            data=data,
-            period_s=float(plan_state["period_s"]),
-            offsets=tuple(int(v) for v in plan_state["offsets"]),
-            bins=tuple(int(v) for v in plan_state["bins"]),
-            matrices=tuple(matrices),
-            singles=np.ascontiguousarray(plan_state["singles"], dtype=float),
-            summaries=tuple(plan_state["summaries"]),
+        self._plan = ShardedCostView(
+            tuple(plan_state["names"]),
+            np.ascontiguousarray(plan_state["labels"], dtype=np.intp),
+            data,
+            tuple(matrices),
+            np.ascontiguousarray(plan_state["singles"], dtype=float),
+            self._spec,
         )
 
 

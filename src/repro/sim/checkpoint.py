@@ -1,4 +1,4 @@
-"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v2"``).
+"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v3"``).
 
 :func:`repro.sim.engine.replay` can periodically serialize its *complete*
 mid-stream state — accumulator partials, streaming estimators, allocator
@@ -8,7 +8,7 @@ module owns the file format and the durability contract; the engine owns
 *what* goes into a checkpoint (see ``sim/engine.py``) and the auditor
 (``sim/audit.py``) validates the state right before each write.
 
-File format (``checkpoint_layout="v2"``)::
+File format (``checkpoint_layout="v3"``)::
 
     MAGIC (8 bytes, b"RPCKPT01")
     header length (4 bytes, big-endian)
@@ -62,7 +62,10 @@ __all__ = [
 #: Schema version stamped into (and required of) every checkpoint header.
 #: ``"v2"``: the Proposed approach's section is its power manager's
 #: snapshot (bounded history, no dense last cost matrix).
-CHECKPOINT_LAYOUT = "v2"
+#: ``"v3"``: the sharded allocator's snapshot drops its population and
+#: its per-shard summary records (a v2 sharded section unpickles only
+#: against the class those records named).
+CHECKPOINT_LAYOUT = "v3"
 
 #: File magic; the trailing digits version the *container framing* (the
 #: byte layout around the JSON header), while ``CHECKPOINT_LAYOUT``

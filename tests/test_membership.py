@@ -352,7 +352,7 @@ class TestAllocatorDeltas:
         assert all(
             sharded._allocators[shard]._reindex_cache is not None for shard in siblings
         )
-        # The next allocate recognises the delta: no wholesale reset.
+        # The next decide recognises the delta: no wholesale reset.
         names.remove(victim)
         manager.decide(
             TraceSet.from_matrix(_window(rng, 59), tuple(names), PERIOD_S)
@@ -375,8 +375,8 @@ class TestAllocatorDeltas:
         manager.admit(["new"])
         decide(tuple(vm for vm in names if vm != "v3") + ("new",))
         assert resets == []
-        # A silent swap to different names drops them (the sharded tier
-        # also notices the swap on its own).
+        # A silent swap to different names drops them: the manager's swap
+        # check is the one rule for both tiers.
         decide(tuple(f"w{i}" for i in range(30)))
         assert resets
 
