@@ -14,7 +14,12 @@ from repro.analysis.stats import fold_marker_states, quantile_fold_fractions
 from repro.baselines.bfd import best_fit_decreasing
 from repro.core.allocation import CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix, StreamingCostMatrix
+from repro.experiments import fig5
+from repro.experiments.setup1 import Setup1Config
 from repro.traces.trace import ReferenceSpec, TraceSet, UtilizationTrace
+from repro.workloads.dispatch import DispatchConfig, RequestDispatchSimulator
+from repro.workloads.queueing import Region
+from repro.workloads.requests import BimodalService, ZipfKeyArrivals
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +111,26 @@ def test_pearson_end_of_window_recompute(benchmark, window):
 
     matrix = benchmark(pearson_cost_matrix, window)
     assert matrix.shape == (40, 40)
+
+
+def test_queueing_sim(benchmark):
+    """One Fig-5 configuration (Shared-Corr at 2.1 GHz) at ``--fast`` length."""
+    result = benchmark(
+        fig5.run_configuration, Setup1Config(duration_s=300.0), "Shared-Corr", 2.1
+    )
+    assert result.completed_queries > 0
+    assert result.p90_response_s("Cluster1") > 0
+
+
+def test_dispatch_sim(benchmark):
+    """One SLO-frontier cell: JSQ over three ~3-core regions at 100 qps."""
+    simulator = RequestDispatchSimulator(
+        (Region("s0", 3.0), Region("s1", 2.9), Region("s2", 3.0)),
+        ZipfKeyArrivals(100.0),
+        BimodalService(),
+        policy="jsq",
+        config=DispatchConfig(duration_s=90.0, seed=2013),
+    )
+    result = benchmark(simulator.run)
+    assert result.completed_requests > 0
+    assert result.p99_response_s > 0

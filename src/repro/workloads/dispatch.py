@@ -4,7 +4,8 @@ The fork-join simulator (:mod:`repro.workloads.queueing`) forks every
 query onto *all* of a cluster's ISNs.  This module models the other
 common scale-out shape — a dispatcher choosing **one** backend per
 request — over the same :class:`~repro.workloads.queueing.Region`
-processor-sharing substrate:
+processor-sharing substrate, driven through the fork-join simulator's
+own region core (``_PSRegion``, ``_next_completion``, ``_advance``):
 
 * ``"random"`` — uniform seeded pick;
 * ``"round_robin"`` — cycling pick in region order;
@@ -49,7 +50,7 @@ import numpy as np
 
 from repro.analysis.stats import percentile
 from repro.traces.trace import TraceSet, UtilizationTrace
-from repro.workloads.queueing import Region
+from repro.workloads.queueing import Region, _advance, _next_completion, _PSRegion
 from repro.workloads.requests import (
     ClosedLoopClients,
     LognormalService,
@@ -127,30 +128,6 @@ class DispatchResult:
         return float(self.response_s.mean())
 
 
-class _DispatchRegionState:
-    """Attained-work processor sharing for one region (cf. queueing)."""
-
-    __slots__ = ("region", "attained", "heap", "active")
-
-    def __init__(self, region: Region) -> None:
-        self.region = region
-        self.attained = 0.0
-        self.heap: list[tuple[float, int]] = []  # (target_attained, req_id)
-        self.active = 0
-
-    @property
-    def rate(self) -> float:
-        return self.region.rate_with(self.active)
-
-    def next_completion_dt(self) -> float:
-        if not self.heap:
-            return math.inf
-        rate = self.rate
-        if rate <= 0:
-            return math.inf
-        return max(0.0, (self.heap[0][0] - self.attained) / rate)
-
-
 class RequestDispatchSimulator:
     """Single-task request simulation over dispatched PS regions."""
 
@@ -183,7 +160,10 @@ class RequestDispatchSimulator:
         """Execute the simulation and collect responses + utilization."""
         config = self._config
         rng = np.random.default_rng(config.seed)
-        states = [_DispatchRegionState(region) for region in self._regions]
+        bin_s = config.utilization_bin_s
+        bins = int(math.ceil(config.duration_s / bin_s))
+        last_bin = bins - 1
+        states = [_PSRegion(region, [[0.0] * bins]) for region in self._regions]
         n_regions = len(states)
         horizon = config.duration_s
         closed = isinstance(self._workload, ClosedLoopClients)
@@ -209,8 +189,6 @@ class RequestDispatchSimulator:
                 seq += 1
         heapq.heapify(arrivals)
 
-        bins = int(math.ceil(horizon / config.utilization_bin_s))
-        work_bins = np.zeros((n_regions, bins))
         in_flight: dict[int, tuple[float, int, int]] = {}  # id -> (t, region, client)
         responses: list[float] = []
         arrival_stamps: list[float] = []
@@ -219,53 +197,15 @@ class RequestDispatchSimulator:
         next_request_id = 0
         now = 0.0
 
-        def advance(t0: float, t1: float) -> None:
-            """Accrue attained work and bin served work over [t0, t1)."""
-            if t1 <= t0:
-                return
-            dt = t1 - t0
-            for idx, state in enumerate(states):
-                if state.active == 0:
-                    continue
-                rate = state.rate
-                if rate <= 0:
-                    continue
-                state.attained += rate * dt
-                region_rate = rate * state.active
-                lo = t0
-                while lo < t1 - 1e-15:
-                    bin_i = min(int(lo / config.utilization_bin_s), bins - 1)
-                    hi = min(t1, (bin_i + 1) * config.utilization_bin_s)
-                    work_bins[idx, bin_i] += region_rate * (hi - lo)
-                    lo = hi
-
-        def pick_region() -> int:
-            if self._policy == "round_robin":
-                nonlocal rr_cursor
-                choice = rr_cursor % n_regions
-                rr_cursor += 1
-                return choice
-            if self._policy == "jsq":
-                return min(range(n_regions), key=lambda i: (states[i].active, i))
-            return int(rng.integers(n_regions))
-
         while True:
             next_arrival_t = arrivals[0][0] if arrivals else math.inf
-            next_completion_t = math.inf
-            completing = -1
-            for idx, state in enumerate(states):
-                dt = state.next_completion_dt()
-                if now + dt < next_completion_t:
-                    next_completion_t = now + dt
-                    completing = idx
-
-            next_t = min(next_arrival_t, next_completion_t)
-            if next_t is math.inf or next_t > horizon:
-                advance(now, horizon)
-                dropped = len(in_flight)
+            next_completion_t, completing = _next_completion(states, now)
+            next_t = next_completion_t if next_completion_t < next_arrival_t else next_arrival_t
+            if next_t > horizon:
+                _advance(states, now, horizon, bin_s, last_bin)
                 break
 
-            advance(now, next_t)
+            _advance(states, now, next_t, bin_s, last_bin)
             now = next_t
 
             if next_arrival_t <= next_completion_t:
@@ -275,19 +215,25 @@ class RequestDispatchSimulator:
                     demand = float(
                         config.base_demand_core_s * self._service.sample(rng, 1)[0]
                     )
-                choice = pick_region()
-                state = states[choice]
-                heapq.heappush(state.heap, (state.attained + demand, next_request_id))
-                state.active += 1
+                if self._policy == "jsq":
+                    # Fewest in flight; the lowest index wins a tie.
+                    choice = 0
+                    fewest = states[0].active
+                    for idx in range(1, n_regions):
+                        if states[idx].active < fewest:
+                            choice = idx
+                            fewest = states[idx].active
+                elif self._policy == "round_robin":
+                    choice = rr_cursor % n_regions
+                    rr_cursor += 1
+                else:
+                    choice = int(rng.integers(n_regions))
+                states[choice].admit(demand, next_request_id)
                 in_flight[next_request_id] = (now, choice, client)
                 next_request_id += 1
             else:
                 # --- completion ----------------------------------------
-                state = states[completing]
-                target, request_id = heapq.heappop(state.heap)
-                state.attained = max(state.attained, target)
-                state.active -= 1
-                arrived, region_idx, client = in_flight.pop(request_id)
+                arrived, region_idx, client = in_flight.pop(states[completing].complete())
                 responses.append(now - arrived)
                 arrival_stamps.append(arrived)
                 served_by.append(region_idx)
@@ -298,12 +244,8 @@ class RequestDispatchSimulator:
                         seq += 1
 
         utilization = TraceSet(
-            UtilizationTrace(
-                work_bins[idx] / config.utilization_bin_s,
-                config.utilization_bin_s,
-                region.region_id,
-            )
-            for idx, region in enumerate(self._regions)
+            UtilizationTrace(np.asarray(state.rows[0]) / bin_s, bin_s, region.region_id)
+            for state, region in zip(states, self._regions, strict=True)
         )
         return DispatchResult(
             response_s=np.asarray(responses),
@@ -311,5 +253,5 @@ class RequestDispatchSimulator:
             region_index=np.asarray(served_by, dtype=int),
             utilization=utilization,
             completed_requests=len(responses),
-            dropped_requests=dropped,
+            dropped_requests=len(in_flight),
         )

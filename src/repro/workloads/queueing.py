@@ -31,6 +31,15 @@ task accrues work at the same rate, so each task can be indexed by the
 region's cumulative attained work at which it will finish.  A heap per
 region keyed by that target makes every arrival/completion O(log n), and
 rates only change at events.
+
+This module also holds the processor-sharing core that
+:mod:`repro.workloads.dispatch` drives: :class:`_PSRegion` (attained
+work, target heap, active count and a rate cached per active count),
+:func:`_next_completion` (the first region wins a tie; both simulators
+let an arrival win a tie with a completion) and :func:`_advance`, which
+cuts each event span into utilization-bin segments once and credits
+every busy member's row, so each bin cell receives its additions in
+chronological order.
 """
 
 from __future__ import annotations
@@ -197,53 +206,142 @@ class QueueingResult:
         return float(samples.mean())
 
 
-class _RegionState:
-    """Runtime state of one region (attained-work processor sharing)."""
+class _PSRegion:
+    """Attained-work processor sharing for one region.
 
-    __slots__ = ("region", "attained", "heap", "active", "last_event_t")
+    Every active task progresses at the same per-task ``rate``, so a task
+    is done when the region's cumulative per-task ``attained`` work
+    reaches the target it was admitted with; ``heap`` orders the
+    ``(target, key, member)`` entries by target, then by the caller's
+    unique ``key``.  ``rate`` only changes with the active count, so it
+    is refreshed in :meth:`admit` and :meth:`complete` (from
+    :meth:`Region.rate_with`, memoised per count) and read as a plain
+    attribute everywhere else.
 
-    def __init__(self, region: Region) -> None:
+    ``rows`` are the utilization-bin rows of the region's members (one
+    per ISN for the fork-join simulator, the region itself for
+    dispatch) and ``counts`` their active tasks.
+    """
+
+    __slots__ = ("region", "attained", "heap", "active", "rate", "rows", "counts", "_rates")
+
+    def __init__(self, region: Region, rows: list[list[float]]) -> None:
         self.region = region
-        self.attained = 0.0          # cumulative per-task attained work
-        self.heap: list[tuple[float, int]] = []  # (target_attained, task_id)
+        self.attained = 0.0
+        self.heap: list[tuple[float, int, int]] = []
         self.active = 0
-        self.last_event_t = 0.0
+        self.rate = 0.0
+        self.rows = rows
+        self.counts = [0] * len(rows)
+        self._rates = [0.0]  # rate_with(k) for every active count k seen so far
 
-    @property
-    def rate(self) -> float:
-        """Current per-task progress rate."""
-        return self.region.rate_with(self.active)
+    def admit(self, demand: float, key: int, member: int = 0) -> None:
+        """Start a task of ``demand`` core-seconds for member ``member``."""
+        heapq.heappush(self.heap, (self.attained + demand, key, member))
+        self.counts[member] += 1
+        self.active += 1
+        if self.active == len(self._rates):
+            self._rates.append(self.region.rate_with(self.active))
+        self.rate = self._rates[self.active]
 
-    def next_completion_dt(self) -> float:
-        """Seconds until the earliest completion, or +inf when idle."""
-        if not self.heap:
-            return math.inf
-        rate = self.rate
-        if rate <= 0:
-            return math.inf
-        return max(0.0, (self.heap[0][0] - self.attained) / rate)
+    def complete(self) -> int:
+        """Retire the earliest-finishing task and return its key."""
+        target, key, member = heapq.heappop(self.heap)
+        # Guard against float drift: the task is done by construction.
+        if target > self.attained:
+            self.attained = target
+        self.counts[member] -= 1
+        self.active -= 1
+        self.rate = self._rates[self.active]
+        return key
 
 
-class _Task:
-    """One ISN task of one query."""
+def _next_completion(states: Sequence[_PSRegion], now: float) -> tuple[float, int]:
+    """Earliest completion time over ``states`` and its region index.
 
-    __slots__ = ("query_id", "vm_index")
+    Returns ``(inf, -1)`` when every region is idle.  The first region
+    wins a tie; callers let an arrival win a tie with a completion.
+    """
+    best_t = math.inf
+    best = -1
+    for index, state in enumerate(states):
+        if state.heap:
+            dt = (state.heap[0][0] - state.attained) / state.rate
+            t = now + (dt if dt > 0.0 else 0.0)
+            if t < best_t:
+                best_t = t
+                best = index
+    return best_t, best
 
-    def __init__(self, query_id: int, vm_index: int) -> None:
-        self.query_id = query_id
-        self.vm_index = vm_index
+
+def _bin_segments(t0: float, t1: float, bin_s: float, last: int) -> list[tuple[int, float]]:
+    """``(bin, width)`` pieces of ``[t0, t1)`` cut at utilization-bin edges.
+
+    Time past the last bin's edge is credited to the last bin.
+    """
+    if t0 >= t1 - 1e-15:
+        return []
+    b = int(t0 / bin_s)
+    if b > last:
+        b = last
+    if t1 <= (b + 1) * bin_s:
+        return [(b, t1 - t0)]
+    segments = []
+    lo = t0
+    while lo < t1 - 1e-15:
+        b = int(lo / bin_s)
+        if b > last:
+            b = last
+        hi = (b + 1) * bin_s
+        if hi == lo:
+            # ``lo`` is the bin's right edge, which ``lo / bin_s`` rounded
+            # down into; without this step the cut would never advance.
+            if b < last:
+                b += 1
+                hi = (b + 1) * bin_s
+            else:
+                hi = t1
+        if hi >= t1:
+            hi = t1
+        segments.append((b, hi - lo))
+        lo = hi
+    return segments
+
+
+def _advance(
+    states: Sequence[_PSRegion], t0: float, t1: float, bin_s: float, last: int
+) -> None:
+    """Accrue attained work over ``[t0, t1)`` and bin each member's share.
+
+    Each bin cell receives at most one addition per call, so every cell
+    sums its contributions in chronological order.
+    """
+    if t1 <= t0:
+        return
+    dt = t1 - t0
+    segments = None
+    for state in states:
+        if state.active:
+            rate = state.rate
+            state.attained += rate * dt
+            if segments is None:
+                segments = _bin_segments(t0, t1, bin_s, last)
+            for row, count in zip(state.rows, state.counts, strict=True):
+                if count:
+                    member_rate = rate * count
+                    for b, width in segments:
+                        row[b] += member_rate * width
 
 
 class _Query:
     """Fork-join bookkeeping for one query."""
 
-    __slots__ = ("cluster_index", "arrival_t", "pending", "last_finish_t")
+    __slots__ = ("cluster_id", "arrival_t", "pending")
 
-    def __init__(self, cluster_index: int, arrival_t: float, fanout: int) -> None:
-        self.cluster_index = cluster_index
+    def __init__(self, cluster_id: str, arrival_t: float, fanout: int) -> None:
+        self.cluster_id = cluster_id
         self.arrival_t = arrival_t
         self.pending = fanout
-        self.last_finish_t = arrival_t
 
 
 def _nhpp_arrivals(
@@ -252,14 +350,20 @@ def _nhpp_arrivals(
     duration_s: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Non-homogeneous Poisson arrival times via Lewis-Shedler thinning."""
+    """Non-homogeneous Poisson arrival times via Lewis-Shedler thinning.
+
+    The thinning bound is the load's maximum over a 512-point probe plus
+    a 10% guard.  A load that exceeds the bound anywhere (a spike
+    narrower than the probe spacing) would need an acceptance
+    probability above one, so it is rejected rather than silently
+    under-sampled.
+    """
     if qps_per_client == 0.0:
         return np.empty(0)
     probe = load.sample(np.linspace(0.0, duration_s, 512))
     rate_max = float(np.max(probe)) * qps_per_client
     if rate_max <= 0:
         return np.empty(0)
-    # The probe can miss narrow maxima; a 10% guard keeps thinning valid.
     rate_max *= 1.1
     times: list[float] = []
     t = 0.0
@@ -267,8 +371,14 @@ def _nhpp_arrivals(
         t += rng.exponential(1.0 / rate_max)
         if t >= duration_s:
             break
-        accept = load.clients_at(t) * qps_per_client / rate_max
-        if rng.random() < accept:
+        rate = load.clients_at(t) * qps_per_client
+        if rate > rate_max:
+            raise ValueError(
+                f"arrival rate {rate:.6g}/s at t={t:.6g}s exceeds the thinning "
+                f"bound {rate_max:.6g}/s; the client load has a spike narrower "
+                f"than the {duration_s / 511:.6g}s probe spacing"
+            )
+        if rng.random() < rate / rate_max:
             times.append(t)
     return np.asarray(times)
 
@@ -304,20 +414,28 @@ class ForkJoinQueueingSimulator:
         """Execute the simulation and collect responses + utilization."""
         config = self._config
         rng = np.random.default_rng(config.seed)
+        bin_s = config.utilization_bin_s
+        bins = int(math.ceil(config.duration_s / bin_s))
+        last_bin = bins - 1
 
-        # --- static lookup tables -------------------------------------
-        vm_index = {name: i for i, name in enumerate(self._vm_names)}
-        vm_region: list[str] = [""] * len(self._vm_names)
-        vm_share: list[float] = [1.0] * len(self._vm_names)
-        vm_cluster: list[int] = [0] * len(self._vm_names)
-        for c_index, cluster in enumerate(self._clusters):
-            for name, region_id, share in zip(
-                cluster.isn_names, cluster.isn_regions, cluster.shares(), strict=True
-            ):
-                i = vm_index[name]
-                vm_region[i] = region_id
-                vm_share[i] = share
-                vm_cluster[i] = c_index
+        # --- static lookup tables: each ISN is a member of its region ----
+        work_rows = [[0.0] * bins for _ in self._vm_names]
+        region_index = {rid: k for k, rid in enumerate(self._regions)}
+        members: list[list[list[float]]] = [[] for _ in self._regions]
+        forks: list[list[tuple[int, int, float]]] = []  # (region, member, share)
+        vm = 0
+        for cluster in self._clusters:
+            fork = []
+            for region_id, share in zip(cluster.isn_regions, cluster.shares(), strict=True):
+                k = region_index[region_id]
+                fork.append((k, len(members[k]), share))
+                members[k].append(work_rows[vm])
+                vm += 1
+            forks.append(fork)
+        states = [
+            _PSRegion(region, rows)
+            for region, rows in zip(self._regions.values(), members, strict=True)
+        ]
 
         # --- arrivals ---------------------------------------------------
         arrival_streams = [
@@ -329,130 +447,64 @@ class ForkJoinQueueingSimulator:
             for seq, t in enumerate(stream):
                 events.append((float(t), c_index, seq))
         events.sort()
+        events.append((math.inf, -1, -1))  # sentinel: no more arrivals
 
         # --- runtime state ----------------------------------------------
-        states = {rid: _RegionState(region) for rid, region in self._regions.items()}
-        queries: dict[int, _Query] = {}
-        tasks: dict[int, _Task] = {}
-        vm_active: list[int] = [0] * len(self._vm_names)
-        next_query_id = 0
+        task_query: dict[int, _Query] = {}
+        in_flight = 0
         next_task_id = 0
-
-        bins = int(math.ceil(config.duration_s / config.utilization_bin_s))
-        work_bins = np.zeros((len(self._vm_names), bins))
-
         responses: dict[str, list[float]] = {c.cluster_id: [] for c in self._clusters}
         arrivals_out: dict[str, list[float]] = {c.cluster_id: [] for c in self._clusters}
         completed = 0
-        dropped = 0
-
-        def account_work(t0: float, t1: float) -> None:
-            """Credit work done in [t0, t1) to per-VM utilization bins."""
-            if t1 <= t0:
-                return
-            for rid, state in states.items():
-                if state.active == 0:
-                    continue
-                rate = state.rate
-                if rate <= 0:
-                    continue
-                for i in range(len(self._vm_names)):
-                    if vm_region[i] != rid or vm_active[i] == 0:
-                        continue
-                    vm_rate = rate * vm_active[i]
-                    lo = t0
-                    while lo < t1 - 1e-15:
-                        bin_i = min(int(lo / config.utilization_bin_s), bins - 1)
-                        bin_end = (bin_i + 1) * config.utilization_bin_s
-                        hi = min(t1, bin_end)
-                        work_bins[i, bin_i] += vm_rate * (hi - lo)
-                        lo = hi
-
-        def advance(t0: float, t1: float) -> None:
-            """Move simulated time forward, accruing attained work."""
-            account_work(t0, t1)
-            dt = t1 - t0
-            if dt <= 0:
-                return
-            for state in states.values():
-                if state.active > 0:
-                    state.attained += state.rate * dt
+        base_demand = config.base_demand_core_s
+        sigma = config.service_sigma
+        mu = -(sigma**2) / 2.0
 
         now = 0.0
         event_cursor = 0
         horizon = config.duration_s
 
         while True:
-            next_arrival_t = events[event_cursor][0] if event_cursor < len(events) else math.inf
-            next_completion_t = math.inf
-            completing_region: str | None = None
-            for rid, state in states.items():
-                dt = state.next_completion_dt()
-                if now + dt < next_completion_t:
-                    next_completion_t = now + dt
-                    completing_region = rid
-
-            next_t = min(next_arrival_t, next_completion_t)
-            if next_t is math.inf or next_t > horizon:
+            next_arrival_t = events[event_cursor][0]
+            next_completion_t, completing = _next_completion(states, now)
+            next_t = next_completion_t if next_completion_t < next_arrival_t else next_arrival_t
+            if next_t > horizon:
                 # Drain: anything still in flight past the horizon is
                 # recorded as dropped (not silently completed early).
-                advance(now, min(horizon, max(now, horizon)))
-                dropped += len(queries)
+                _advance(states, now, horizon, bin_s, last_bin)
                 break
 
-            advance(now, next_t)
+            _advance(states, now, next_t, bin_s, last_bin)
             now = next_t
 
             if next_arrival_t <= next_completion_t:
-                # --- arrival ---------------------------------------------
-                _, c_index, _ = events[event_cursor]
+                # --- arrival: fork one task per ISN ----------------------
+                c_index = events[event_cursor][1]
                 event_cursor += 1
-                cluster = self._clusters[c_index]
-                query = _Query(c_index, now, len(cluster.isn_names))
-                queries[next_query_id] = query
-                for name in cluster.isn_names:
-                    i = vm_index[name]
-                    demand = (
-                        config.base_demand_core_s
-                        * vm_share[i]
-                        * rng.lognormal(-config.service_sigma**2 / 2.0, config.service_sigma)
-                    )
-                    state = states[vm_region[i]]
-                    target = state.attained + demand
-                    heapq.heappush(state.heap, (target, next_task_id))
-                    tasks[next_task_id] = _Task(next_query_id, i)
-                    state.active += 1
-                    vm_active[i] += 1
+                fork = forks[c_index]
+                query = _Query(self._clusters[c_index].cluster_id, now, len(fork))
+                in_flight += 1
+                # One lognormal block per query: the same draws, in the
+                # same order, as one scalar draw per task.
+                draws = rng.lognormal(mu, sigma, len(fork)).tolist()
+                for (k, member, share), draw in zip(fork, draws, strict=True):
+                    states[k].admit(base_demand * share * draw, next_task_id, member)
+                    task_query[next_task_id] = query
                     next_task_id += 1
-                next_query_id += 1
             else:
-                # --- completion ------------------------------------------
-                state = states[completing_region]  # type: ignore[index]
-                target, task_id = heapq.heappop(state.heap)
-                # Guard against float drift: the task is done by construction.
-                state.attained = max(state.attained, target)
-                task = tasks.pop(task_id)
-                state.active -= 1
-                vm_active[task.vm_index] -= 1
-                query = queries[task.query_id]
+                # --- completion: the query joins on its last task --------
+                query = task_query.pop(states[completing].complete())
                 query.pending -= 1
-                query.last_finish_t = max(query.last_finish_t, now)
                 if query.pending == 0:
-                    del queries[task.query_id]
-                    cluster = self._clusters[query.cluster_index]
+                    in_flight -= 1
                     overhead = config.frontend_overhead_s * (1.0 + 0.25 * rng.random())
-                    response = (query.last_finish_t - query.arrival_t) + overhead
-                    responses[cluster.cluster_id].append(response)
-                    arrivals_out[cluster.cluster_id].append(query.arrival_t)
+                    responses[query.cluster_id].append((now - query.arrival_t) + overhead)
+                    arrivals_out[query.cluster_id].append(query.arrival_t)
                     completed += 1
 
         utilization = TraceSet(
-            UtilizationTrace(
-                work_bins[i] / config.utilization_bin_s,
-                config.utilization_bin_s,
-                name,
-            )
-            for i, name in enumerate(self._vm_names)
+            UtilizationTrace(np.asarray(row) / bin_s, bin_s, name)
+            for row, name in zip(work_rows, self._vm_names, strict=True)
         )
         return QueueingResult(
             responses_by_cluster={
@@ -463,5 +515,5 @@ class ForkJoinQueueingSimulator:
             },
             utilization=utilization,
             completed_queries=completed,
-            dropped_queries=dropped,
+            dropped_queries=in_flight,
         )

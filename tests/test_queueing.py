@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.workloads.clients import TraceClients
+from repro.workloads.clients import FlashCrowdClients, TraceClients
 from repro.workloads.queueing import (
     ForkJoinQueueingSimulator,
     QueueingConfig,
     Region,
     SimCluster,
+    _bin_segments,
 )
 
 
@@ -61,6 +64,17 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="at least one cluster"):
             ForkJoinQueueingSimulator([], [Region("r1", 4)])
 
+    def test_spike_narrower_than_probe_is_rejected(self):
+        """Thinning needs the load's true maximum; a surge centred between
+        two of the 512 probe points (10/511 s apart here) is invisible to
+        the probe and must raise instead of biasing the stream."""
+        spike = FlashCrowdClients(10.0, [(5.0, 1000.0, 0.002)])
+        cluster = SimCluster("C1", spike, ("isn1",), ("r1",))
+        config = QueueingConfig(duration_s=10.0, qps_per_client=100.0, seed=1)
+        sim = ForkJoinQueueingSimulator([cluster], [Region("r1", 8)], config)
+        with pytest.raises(ValueError, match="thinning bound"):
+            sim.run()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QueueingConfig(duration_s=0.0)
@@ -106,6 +120,31 @@ class TestConservation:
         # ~ arrivals * 2 tasks * 0.1 core-s each (light load: all served).
         expected = result.completed_queries * 2 * config.base_demand_core_s
         assert total_work == pytest.approx(expected, rel=0.1)
+
+
+    def test_bin_cut_steps_over_edges_that_round_down(self):
+        # 4.3 / 0.1 evaluates just below 43, yet 43 * 0.1 == 4.3.
+        assert int(4.3 / 0.1) == 42 and 43 * 0.1 == 4.3
+        assert _bin_segments(4.3, 4.35, 0.1, 99) == [(43, 4.35 - 4.3)]
+        assert _bin_segments(4.25, 4.35, 0.1, 99) == [
+            (42, 4.3 - 4.25),
+            (43, 4.35 - 4.3),
+        ]
+
+    def test_fractional_bins_conserve_work(self):
+        """Bin width changes only the binning: same responses, same work."""
+        config = QueueingConfig(
+            duration_s=20.0, qps_per_client=0.2, utilization_bin_s=0.1, seed=5
+        )
+        runs = [
+            ForkJoinQueueingSimulator([one_cluster()], [Region("r1", 8)], c).run()
+            for c in (config, replace(config, utilization_bin_s=1.0))
+        ]
+        np.testing.assert_array_equal(
+            runs[0].responses_by_cluster["C1"], runs[1].responses_by_cluster["C1"]
+        )
+        fine, coarse = (float(r.utilization.matrix.sum()) for r in runs)
+        assert fine * 0.1 == pytest.approx(coarse, rel=1e-9)
 
 
 class TestQueueingBehaviour:
