@@ -200,6 +200,7 @@ class RequestDispatchSimulator:
         while True:
             next_arrival_t = arrivals[0][0] if arrivals else math.inf
             next_completion_t, completing = _next_completion(states, now)
+            # min() without the builtin call on every event.
             next_t = next_completion_t if next_completion_t < next_arrival_t else next_arrival_t
             if next_t > horizon:
                 _advance(states, now, horizon, bin_s, last_bin)
@@ -216,13 +217,8 @@ class RequestDispatchSimulator:
                         config.base_demand_core_s * self._service.sample(rng, 1)[0]
                     )
                 if self._policy == "jsq":
-                    # Fewest in flight; the lowest index wins a tie.
-                    choice = 0
-                    fewest = states[0].active
-                    for idx in range(1, n_regions):
-                        if states[idx].active < fewest:
-                            choice = idx
-                            fewest = states[idx].active
+                    # ``min`` keeps the first (lowest-index) region on a tie.
+                    choice = min(range(n_regions), key=lambda i: states[i].active)
                 elif self._policy == "round_robin":
                     choice = rr_cursor % n_regions
                     rr_cursor += 1

@@ -32,14 +32,9 @@ region's cumulative attained work at which it will finish.  A heap per
 region keyed by that target makes every arrival/completion O(log n), and
 rates only change at events.
 
-This module also holds the processor-sharing core that
-:mod:`repro.workloads.dispatch` drives: :class:`_PSRegion` (attained
-work, target heap, active count and a rate cached per active count),
-:func:`_next_completion` (the first region wins a tie; both simulators
-let an arrival win a tie with a completion) and :func:`_advance`, which
-cuts each event span into utilization-bin segments once and credits
-every busy member's row, so each bin cell receives its additions in
-chronological order.
+The region core (:class:`_PSRegion`, :func:`_next_completion`,
+:func:`_advance`) also drives :mod:`repro.workloads.dispatch`, so both
+simulators share one rate cache, one set of tie rules and one binning.
 """
 
 from __future__ import annotations
@@ -326,9 +321,10 @@ def _advance(
             state.attained += rate * dt
             if segments is None:
                 segments = _bin_segments(t0, t1, bin_s, last)
-            for row, count in zip(state.rows, state.counts, strict=True):
+            for member, count in enumerate(state.counts):
                 if count:
                     member_rate = rate * count
+                    row = state.rows[member]
                     for b, width in segments:
                         row[b] += member_rate * width
 
@@ -455,10 +451,7 @@ class ForkJoinQueueingSimulator:
         next_task_id = 0
         responses: dict[str, list[float]] = {c.cluster_id: [] for c in self._clusters}
         arrivals_out: dict[str, list[float]] = {c.cluster_id: [] for c in self._clusters}
-        completed = 0
-        base_demand = config.base_demand_core_s
-        sigma = config.service_sigma
-        mu = -(sigma**2) / 2.0
+        mu = -(config.service_sigma**2) / 2.0
 
         now = 0.0
         event_cursor = 0
@@ -467,6 +460,7 @@ class ForkJoinQueueingSimulator:
         while True:
             next_arrival_t = events[event_cursor][0]
             next_completion_t, completing = _next_completion(states, now)
+            # min() without the builtin call on every event.
             next_t = next_completion_t if next_completion_t < next_arrival_t else next_arrival_t
             if next_t > horizon:
                 # Drain: anything still in flight past the horizon is
@@ -486,9 +480,10 @@ class ForkJoinQueueingSimulator:
                 in_flight += 1
                 # One lognormal block per query: the same draws, in the
                 # same order, as one scalar draw per task.
-                draws = rng.lognormal(mu, sigma, len(fork)).tolist()
+                draws = rng.lognormal(mu, config.service_sigma, len(fork)).tolist()
                 for (k, member, share), draw in zip(fork, draws, strict=True):
-                    states[k].admit(base_demand * share * draw, next_task_id, member)
+                    demand = config.base_demand_core_s * share * draw
+                    states[k].admit(demand, next_task_id, member)
                     task_query[next_task_id] = query
                     next_task_id += 1
             else:
@@ -500,7 +495,6 @@ class ForkJoinQueueingSimulator:
                     overhead = config.frontend_overhead_s * (1.0 + 0.25 * rng.random())
                     responses[query.cluster_id].append((now - query.arrival_t) + overhead)
                     arrivals_out[query.cluster_id].append(query.arrival_t)
-                    completed += 1
 
         utilization = TraceSet(
             UtilizationTrace(np.asarray(row) / bin_s, bin_s, name)
@@ -514,6 +508,6 @@ class ForkJoinQueueingSimulator:
                 cid: np.asarray(values) for cid, values in arrivals_out.items()
             },
             utilization=utilization,
-            completed_queries=completed,
+            completed_queries=sum(len(values) for values in responses.values()),
             dropped_queries=in_flight,
         )
