@@ -42,6 +42,7 @@ the approximation behind the incremental percentile-mode horizon cost in
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -299,7 +300,15 @@ def pearson(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) ->
         raise ValueError("need at least two samples for a correlation")
     xc = xs - xs.mean()
     yc = ys - ys.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+    sxx = float(np.dot(xc, xc))
+    syy = float(np.dot(yc, yc))
+    product = sxx * syy
+    # Below the normal range the product has lost its precision (tiny but
+    # non-constant signals); take the roots separately there.
+    if product >= sys.float_info.min:
+        denom = math.sqrt(product)
+    else:
+        denom = math.sqrt(sxx) * math.sqrt(syy)
     if denom == 0.0:
         return 0.0
     return float(np.dot(xc, yc) / denom)

@@ -121,7 +121,6 @@ class TestConservation:
         expected = result.completed_queries * 2 * config.base_demand_core_s
         assert total_work == pytest.approx(expected, rel=0.1)
 
-
     def test_bin_cut_steps_over_edges_that_round_down(self):
         # 4.3 / 0.1 evaluates just below 43, yet 43 * 0.1 == 4.3.
         assert int(4.3 / 0.1) == 42 and 43 * 0.1 == 4.3

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
@@ -73,6 +73,7 @@ class TestPearson:
             pearson([1.0], [2.0])
 
     @given(st.lists(finite_floats, min_size=3, max_size=30))
+    @example([0.0, 0.0, 1.6194035696085121e-81])  # sum of squares product underflows
     def test_self_correlation_is_one_or_zero(self, values):
         rho = pearson(values, values)
         # Constant (or numerically constant) input degenerates to 0 by
