@@ -134,6 +134,11 @@ CHURN_EVENTS_PER_PERIOD = 32
 # rebuild-sized spikes, so warm periods should cluster tightly
 # (~1.1x measured; generous headroom for noisy CI neighbours).
 CHURN_LATENCY_RATIO_MAX = 3.0
+# The p99/p50 partner: one warm decide's shard problems solved by solo
+# per-shard allocates vs one lockstep sweep, same box.  Dimensionless,
+# so it cannot pass by a uniformly slow serve path (~2x measured on a
+# 2-core box).
+CHURN_LOCKSTEP_MIN_SPEEDUP = 1.3
 
 
 def _fleet(n: int) -> TraceSet:
@@ -1043,11 +1048,13 @@ def test_churn_gate(report, bench_json_merge):
 
     A :class:`~repro.sim.churn.ChurnEngine` drives admit/decide/retire
     over a synthesized arrival–departure feed against the sharded
-    allocator.  Because membership deltas invalidate only the shards
-    (and horizon rows) they touch, warm periods must not pay
-    rebuild-sized spikes: the gate pins the p99/p50 decide-latency
-    ratio over the post-cold periods (dimensionless, compared across
-    boxes by ``tools/compare_bench.py``), while the raw p99 latency and
+    allocator.  Warm periods must not pay rebuild-sized spikes: the gate
+    pins the p99/p50 decide-latency ratio over the post-cold periods
+    (dimensionless, compared across boxes by ``tools/compare_bench.py``).
+    Its partner, ``lockstep_speedup``, re-solves the last decide's shard
+    problems solo (one ``allocate`` per shard) and in one lockstep sweep:
+    the placements must match, and lockstep must be at least
+    ``CHURN_LOCKSTEP_MIN_SPEEDUP`` faster.  The raw p99 latency and
     event throughput travel as informational keys.
     """
     traces, _membership = generate_datacenter_traces(
@@ -1096,6 +1103,28 @@ def test_churn_gate(report, bench_json_merge):
     events_per_s = total_events / wall_s
     cold_ms = records[0].decide_ms
 
+    view = manager.allocator.cost_view()
+    references = manager.predict(view.names)
+    problems = [(matrix.names, matrix.as_array(), matrix.name_index) for matrix in view.matrices]
+    config = manager.allocator.config
+    n_cores = XEON_E5410.n_cores
+
+    def solo():
+        return [
+            CorrelationAwareAllocator(config).allocate(
+                names, references, n_cores, cost_array=array, name_index=index
+            )
+            for names, array, index in problems
+        ]
+
+    def lockstep():
+        return CorrelationAwareAllocator(config).allocate_lockstep(problems, references, n_cores)
+
+    assert [dict(p.assignment) for p in solo()] == [dict(p.assignment) for p in lockstep()]
+    solo_ms = _time_ms(solo, 3)
+    lockstep_ms = _time_ms(lockstep, 3)
+    lockstep_speedup = solo_ms / lockstep_ms
+
     payload = {
         "vms": CHURN_VMS,
         "periods": CHURN_PERIODS,
@@ -1111,18 +1140,28 @@ def test_churn_gate(report, bench_json_merge):
         "ratio_max": CHURN_LATENCY_RATIO_MAX,
         "events_per_s": round(events_per_s, 3),
         "wall_s": round(wall_s, 3),
+        "shards": len(problems),
+        "solo_ms": round(solo_ms, 3),
+        "lockstep_ms": round(lockstep_ms, 3),
+        "lockstep_speedup": round(lockstep_speedup, 3),
+        "lockstep_min_speedup": CHURN_LOCKSTEP_MIN_SPEEDUP,
     }
     path = bench_json_merge("scaling", "churn", payload)
     report(
         f"sustained churn at N={CHURN_VMS}: decide p50 {p50_ms:.0f} ms, "
         f"p99 {p99_ms:.0f} ms (ratio {ratio:.2f}), cold {cold_ms:.0f} ms, "
-        f"{events_per_s:.1f} events/s over {len(events)} events"
-        f"\npersisted to {path}"
+        f"{events_per_s:.1f} events/s over {len(events)} events; "
+        f"{len(problems)} shards solo {solo_ms:.0f} ms vs lockstep {lockstep_ms:.0f} ms "
+        f"({lockstep_speedup:.2f}x)\npersisted to {path}"
     )
     assert ratio <= CHURN_LATENCY_RATIO_MAX, (
         f"churn p99/p50 decide ratio {ratio:.2f} exceeds "
         f"{CHURN_LATENCY_RATIO_MAX}: membership deltas are triggering "
         f"rebuild-sized spikes"
+    )
+    assert lockstep_speedup >= CHURN_LOCKSTEP_MIN_SPEEDUP, (
+        f"lockstep sweep only {lockstep_speedup:.2f}x faster than solo per-shard "
+        f"allocates, gate is {CHURN_LOCKSTEP_MIN_SPEEDUP}x"
     )
 
 

@@ -19,21 +19,30 @@ the factor ``alpha`` (line 17) and the servers re-sorted by remaining
 capacity (line 18).
 
 Line 11 is evaluated over a dense symmetric cost array (``cost_array``
-+ ``name_index``).  Each server bin keeps a cached pairwise-sum/weight
-pair so the prospective cost of *all* fitting candidates is evaluated at
-once in O(|bin|) array operations per candidate: for a bin with members
-``S``, cached ``T_S = sum_j r_j * sum_{k != j} C(j, k)``, and candidate
-``c``, ``Cost(S + c) = (T_S + sum_j (r_j + r_c) C(j, c)) / ((R_S + r_c) |S|)``.
-The dense matrix must be symmetric (both cost matrices are).  The
++ ``name_index``) gathered into *slot* order (descending reference,
+then name).  Each server bin ``B`` keeps two join-order row sums over
+the slot space, ``A[s] = sum_j C(s, j) r_j`` and ``S[s] = sum_j C(s, j)``
+over its members ``j``, next to ``R = sum_j r_j`` and the weighted
+pairwise sum ``T = sum_j r_j sum_{k != j} C(j, k)``.  The prospective
+Eqn-2 cost of every candidate ``c`` is then one element-wise pass,
+``Cost(B + c) = (T + (A[c] + r_c S[c])) / ((R + r_c) |B|)``, and a join of
+slot ``p`` adds ``A[p] + r_p S[p]`` to ``T`` before adding row ``C[p]``
+(scaled by ``r_p``) to ``A`` and ``C[p]`` to ``S``.  Both formulas live in
+one helper pair (:func:`_join_sums`, :func:`_prospective_costs`).  Every
+sum grows one member at a time in join order through element-wise IEEE
+operations — no gather of member blocks, no BLAS reduction whose
+rounding depends on what it is batched with — so a bin's costs are the
+same bits whether it is swept alone or stacked with other problems'
+bins.  The dense matrix must be symmetric (both cost matrices are).  The
 scalar Fig-2 transcription (Eqn 2 through ``prospective_server_cost``,
 one ``alpha`` level per unproductive sweep) lives in the test suite as
 the oracle these placements are pinned against.
 
-Two batching layers sit on top of the incremental evaluation:
+Two loops run the sweep on those sums:
 
-* **Per-bin cost caching + TH-level sweep batching.**  A bin's
+* **Solo** (:meth:`CorrelationAwareAllocator.allocate`).  A bin's
   prospective candidate costs depend only on its membership, so each bin
-  caches the dense candidate-cost vector and invalidates it only when a
+  caches its fitting-candidate cost vector and invalidates it only when a
   VM lands *in that bin*.  Unproductive sweeps then never recompute
   Eqn 2: when a full sweep places nothing while fitting candidates
   remain, the sweep loop reads the cached per-bin best admissible cost,
@@ -44,14 +53,24 @@ Two batching layers sit on top of the incremental evaluation:
   ``threshold *= alpha``) and the sweep accounting against
   ``max_sweeps`` are replicated exactly, so placements are identical to
   the level-by-level loop.
-* **Cross-period reuse of unchanged rows.**  :meth:`allocate` permutes
-  ``cost_array`` into canonical slot order, an O(N²) gather per call.
-  The allocator instance caches that permuted matrix together with a
-  snapshot of the input; when the next period's call carries the same
-  VM order (e.g. a streaming peak-mode matrix where most running maxima
-  did not move), only the rows that actually changed are re-gathered.
-  The cache is self-validating (exact value comparison against the
-  snapshot), so reuse can never change a placement.
+* **Lockstep** (:meth:`CorrelationAwareAllocator.allocate_lockstep`).
+  Many independent problems (the sharded tier's shards) step their
+  Fig-2 loops together over padded, stacked per-bin arrays: each step
+  every unfinished problem makes the placement or the threshold/bin
+  move its solo loop would make next.  Per-bin best costs are kept
+  current as candidates leave, so a step's bin choice is one masked
+  ``argmax`` over the stack.  Each problem's placement is the one the
+  solo loop gives it alone.
+
+The solo loop also keeps a **cross-period reuse of unchanged rows**:
+:meth:`~CorrelationAwareAllocator.allocate` permutes ``cost_array`` into
+slot order, an O(N²) gather per call.  The allocator instance caches
+that permuted matrix together with a snapshot of the input; when the
+next period's call carries the same VM order (e.g. a streaming
+peak-mode matrix where most running maxima did not move), only the rows
+that actually changed are re-gathered.  The cache is self-validating
+(exact value comparison against the snapshot), so reuse can never change
+a placement.
 
 Evacuation (re-placing a failed server's VMs without a rebuild) keeps the
 same incremental ``R_S``/``T_S`` bin state.  Its rule has one body,
@@ -155,15 +174,20 @@ class _Bin:
 
     ``members`` holds candidate slots (allocation) or VM names
     (:func:`_evacuate`).  ``ref_sum`` and ``pair_weight`` are the
-    incremental Eqn-2 state: the committed reference sum ``R_S`` and the
-    weighted pairwise sum ``T_S = sum_j r_j * sum_{k != j} C(j, k)``.
-    ``cost_cache`` memoizes the allocation sweep's (fitting slots, costs)
-    pair for the current membership; it is invalidated whenever a VM is
-    placed *into this bin* (placements elsewhere only shrink the free
-    mask, which is applied on read).
+    incremental Eqn-2 state: the committed reference sum ``R`` and the
+    weighted pairwise sum ``T = sum_j r_j * sum_{k != j} C(j, k)``.  The
+    solo sweep adds the join-order row sums ``row_ref`` (``A``) and
+    ``row_one`` (``S``) over the slot space (``None`` until the first
+    join), and ``cost_cache``, its (fitting slots, costs) pair for the
+    current membership; the cache is invalidated whenever a VM is placed
+    *into this bin* (placements elsewhere only shrink the free mask,
+    which is applied on read).
     """
 
-    __slots__ = ("index", "members", "remaining", "ref_sum", "pair_weight", "cost_cache")
+    __slots__ = (
+        "index", "members", "remaining", "ref_sum", "pair_weight",
+        "row_ref", "row_one", "cost_cache",
+    )
 
     def __init__(self, index: int, capacity: float) -> None:
         self.index = index
@@ -171,7 +195,41 @@ class _Bin:
         self.remaining = capacity
         self.ref_sum = 0.0
         self.pair_weight = 0.0
+        self.row_ref: np.ndarray | None = None
+        self.row_one: np.ndarray | None = None
         self.cost_cache: tuple[np.ndarray, np.ndarray] | None = None
+
+
+def _join_sums(pair_weight, ref_at, one_at, r_new, cost_row, row_ref, row_one):
+    """A bin's Eqn-2 sums after slot ``p`` joins it, in join order.
+
+    ``ref_at``/``one_at`` are the bin's ``A[p]``/``S[p]`` before the
+    join, ``r_new`` is ``r_p`` and ``cost_row`` is ``C[p]`` in slot
+    order.  Returns ``(T + (A[p] + r_p S[p]), A + C[p] r_p, S + C[p])``.
+    Works on one bin (scalar ``r_new``, 1-D rows) or a stack of bins
+    (1-D ``r_new``, 2-D rows); either way every value is the same
+    element-wise IEEE operations.
+    """
+    return (
+        pair_weight + (ref_at + r_new * one_at),
+        row_ref + cost_row * np.expand_dims(r_new, -1),
+        row_one + cost_row,
+    )
+
+
+def _prospective_costs(pair_weight, row_ref, row_one, ref_sum, r, count):
+    """Eqn-2 cost of each candidate joining a non-empty bin.
+
+    ``(T + (A + r S)) / ((R + r) m)`` element-wise over the candidates'
+    row sums and references; 1.0 where ``R + r`` is zero.  The bin terms
+    broadcast, so one call prices one bin's candidates or a stack of
+    bins' rows.
+    """
+    totals = ref_sum + r
+    weights = pair_weight + (row_ref + r * row_one)
+    return np.divide(
+        weights, totals * count, out=np.ones_like(weights), where=totals > 0.0
+    )
 
 
 class _IndexedCandidates:
@@ -181,10 +239,10 @@ class _IndexedCandidates:
     (descending reference, then name) order — with the cost matrix
     re-indexed to match, an aligned reference vector, and a free-slot
     mask.  Each bin's fitting-candidate cost vector (prospective Eqn-2
-    costs against the bin's cached pair-sum state) is computed once per
-    bin membership and memoized on the bin, so a :meth:`pick` is one
-    masked reduction and repeated sweeps at degenerating thresholds
-    never recompute Eqn 2.
+    costs from the bin's join-order sums) is computed once per bin
+    membership and memoized on the bin, so a :meth:`pick` is one masked
+    reduction and repeated sweeps at degenerating thresholds never
+    recompute Eqn 2.
     """
 
     def __init__(self, r: np.ndarray, permuted_costs: np.ndarray, resolution: float) -> None:
@@ -209,23 +267,21 @@ class _IndexedCandidates:
         invalidates the cache) and the free mask only ever shrinks, so a
         cached pair stays a valid superset of the live fitting set —
         readers re-apply the free mask, which is O(|cached|), instead of
-        re-running the O(|fitting| x |bin|) Eqn-2 evaluation.
+        re-running the Eqn-2 evaluation.
         """
         cache = bin_.cost_cache
         if cache is None:
             fitting = np.flatnonzero(
                 self._free & (self._r <= bin_.remaining + _FIT_EPS)
             )
-            members = np.asarray(bin_.members, dtype=np.intp)
-            sub = self._costs[np.ix_(fitting, members)]
-            cross = sub @ self._r[members] + self._r[fitting] * sub.sum(axis=1)
-            totals = bin_.ref_sum + self._r[fitting]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                costs = np.where(
-                    totals > 0.0,
-                    (bin_.pair_weight + cross) / (totals * members.size),
-                    1.0,
-                )
+            costs = _prospective_costs(
+                bin_.pair_weight,
+                bin_.row_ref[fitting],
+                bin_.row_one[fitting],
+                bin_.ref_sum,
+                self._r[fitting],
+                len(bin_.members),
+            )
             cache = (fitting, costs)
             bin_.cost_cache = cache
         fitting, costs = cache
@@ -251,13 +307,10 @@ class _IndexedCandidates:
         if not admissible.any():
             return None
         candidates = fitting[admissible]
-        costs = costs[admissible]
-        resolution = self._resolution
-        bucketed = np.round(costs / resolution) * resolution if resolution > 0 else costs
         # argmax returns the *first* maximum; slots are in canonical
         # (descending reference, then name) order, so bucket ties break
         # by the (-cost, -reference, name) key.
-        return int(candidates[np.argmax(bucketed)])
+        return int(candidates[np.argmax(_bucketed(costs[admissible], self._resolution))])
 
     def best_cost(self, bin_: _Bin) -> float | None:
         """Highest prospective cost among free fitting candidates.
@@ -276,16 +329,30 @@ class _IndexedCandidates:
         return float(costs.max())
 
     def place(self, bin_: _Bin, slot: int) -> None:
-        if bin_.members:
-            members = np.asarray(bin_.members, dtype=np.intp)
-            row = self._costs[slot, members]
-            bin_.pair_weight += float(row @ self._r[members]) + self._r[slot] * float(row.sum())
+        if bin_.row_ref is None:
+            bin_.row_ref = np.zeros(self._r.size)
+            bin_.row_one = np.zeros(self._r.size)
+        r_new = self._r[slot]
+        bin_.pair_weight, bin_.row_ref, bin_.row_one = _join_sums(
+            bin_.pair_weight,
+            bin_.row_ref[slot],
+            bin_.row_one[slot],
+            r_new,
+            self._costs[slot],
+            bin_.row_ref,
+            bin_.row_one,
+        )
         bin_.members.append(slot)
-        bin_.remaining -= self._r[slot]
-        bin_.ref_sum += self._r[slot]
+        bin_.remaining -= r_new
+        bin_.ref_sum += r_new
         bin_.cost_cache = None
         self._free[slot] = False
         self._free_count -= 1
+
+
+def _bucketed(costs: np.ndarray, resolution: float) -> np.ndarray:
+    """Costs rounded to the ``cost_resolution`` grid (unchanged at 0)."""
+    return np.round(costs / resolution) * resolution if resolution > 0 else costs
 
 
 class _ReindexCache:
@@ -431,7 +498,7 @@ class CorrelationAwareAllocator:
                 ]
                 cache.permuted.flags.writeable = False
             return cache.permuted
-        permuted = np.ascontiguousarray(cost_array[np.ix_(rows, rows)])
+        permuted = _slot_costs(cost_array, rows)
         permuted.flags.writeable = False
         self._reindex_cache = _ReindexCache(key, rows, cost_array.copy(), permuted)
         return permuted
@@ -474,24 +541,8 @@ class CorrelationAwareAllocator:
             Every input VM placed exactly once; per-server committed
             reference never exceeds ``n_cores``.
         """
-        if n_cores <= 0:
-            raise ValueError("n_cores must be positive")
-        vm_ids = list(vm_ids)
-        if len(set(vm_ids)) != len(vm_ids):
-            raise ValueError("duplicate VM ids")
-        if not vm_ids:
-            raise ValueError("nothing to allocate")
-        missing = [vm for vm in vm_ids if vm not in references]
-        if missing:
-            raise ValueError(f"missing references for {missing}")
-
-        capacity = float(n_cores)
-        refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
-
-        # UPDATE leftovers that live here by construction: the descending
-        # sort (line 6) and the Eqn-3 server estimate (line 8).
-        order = sorted(vm_ids, key=lambda vm: (-refs[vm], vm))
-        estimate = max(1, math.ceil(sum(refs.values()) / capacity - 1e-12))
+        capacity = _capacity(n_cores)
+        order, refs, estimate = _canonical_problem(vm_ids, references, capacity)
         if max_servers is not None:
             if max_servers < 1:
                 raise ValueError("max_servers must be positive")
@@ -505,12 +556,53 @@ class CorrelationAwareAllocator:
         candidates = _IndexedCandidates(r, permuted, self._config.cost_resolution)
         bins = self._run_sweeps(candidates, capacity, estimate, max_servers)
         self._consolidate_extras(bins, r, estimate)
+        return _placement(order, bins, refs, capacity, max_servers)
 
-        assignment = {order[slot]: bin_.index for bin_ in bins for slot in bin_.members}
-        num_servers = max_servers if max_servers is not None else len(bins)
-        placement = Placement(assignment, num_servers=num_servers)
-        placement.validate_capacity(refs, capacity)
-        return placement
+    def allocate_lockstep(
+        self,
+        problems: Sequence[tuple[Sequence[str], np.ndarray, Mapping[str, int]]],
+        references: Mapping[str, float],
+        n_cores: int,
+    ) -> list[Placement]:
+        """Place several independent VM sets by lockstep sweeps.
+
+        Each ``(vm_ids, cost_array, name_index)`` problem gets exactly
+        the placement :meth:`allocate` gives it alone without a fleet
+        bound (same bins, same server numbering from 0), including the
+        :class:`CapacityError` a problem that exceeds ``max_sweeps``
+        raises.  The problems' Fig-2 loops step together over stacked
+        arrays (see the module docstring), in batches of similar size
+        whose stack stays under ``_LOCKSTEP_CELLS``; that is what makes
+        many small sweeps cheap.  The reindex cache is neither read nor
+        written.
+        """
+        capacity = _capacity(n_cores)
+        if not problems:
+            return []
+        canon = []
+        refs_slot = []
+        blocks = []
+        for vm_ids, cost_array, name_index in problems:
+            order, refs, estimate = _canonical_problem(vm_ids, references, capacity)
+            cost_array, rows = _dense_rows(order, cost_array, name_index)
+            canon.append((order, refs, estimate))
+            refs_slot.append(np.array([refs[vm] for vm in order], dtype=float))
+            blocks.append((cost_array, rows))
+        estimates = [estimate for _order, _refs, estimate in canon]
+        placed: dict[int, Placement] = {}
+        for group in _lockstep_groups([r.size for r in refs_slot], estimates):
+            swept = _lockstep_sweeps(
+                [refs_slot[k] for k in group],
+                [blocks[k] for k in group],
+                [estimates[k] for k in group],
+                capacity,
+                self._config,
+            )
+            for k, bins in zip(group, swept, strict=True):
+                order, refs, estimate = canon[k]
+                self._consolidate_extras(bins, refs_slot[k], estimate)
+                placed[k] = _placement(order, bins, refs, capacity, None)
+        return [placed[k] for k in range(len(problems))]
 
     def evacuate(
         self,
@@ -566,9 +658,7 @@ class CorrelationAwareAllocator:
         while candidates.remaining:
             sweeps += 1
             if sweeps > max_sweeps:
-                raise CapacityError(
-                    f"allocation did not converge within {max_sweeps} sweeps"
-                )
+                raise _sweep_limit(max_sweeps)
             progress = False
             # Line 10 / 18: servers in descending order of remaining
             # capacity; one placement per pass position, so the target
@@ -605,9 +695,7 @@ class CorrelationAwareAllocator:
                     while best <= threshold:
                         sweeps += 1
                         if sweeps > max_sweeps:
-                            raise CapacityError(
-                                f"allocation did not converge within {max_sweeps} sweeps"
-                            )
+                            raise _sweep_limit(max_sweeps)
                         threshold *= self._config.alpha
                 else:
                     # Capacity-blocked (nothing fits anywhere): the Eqn-3
@@ -660,6 +748,231 @@ class CorrelationAwareAllocator:
                 target.remaining -= float(r[member])
             extra.members.clear()
             extra.remaining = 0.0
+
+
+def _sweep_limit(max_sweeps: int) -> CapacityError:
+    return CapacityError(f"allocation did not converge within {max_sweeps} sweeps")
+
+
+#: Cells (problems x bins x slots) one lockstep sweep stacks at most:
+#: each of its three per-bin arrays then stays under 4 MiB of float64,
+#: whatever the fleet size.  Larger stacks measured no faster.
+_LOCKSTEP_CELLS = 1 << 19
+
+
+def _lockstep_groups(sizes: Sequence[int], estimates: Sequence[int]) -> list[list[int]]:
+    """Problem indices in lockstep batches of at most ``_LOCKSTEP_CELLS``.
+
+    Largest problems first, so a batch pads to problems of similar size
+    (and they finish at similar iterations).  A problem too large for
+    the budget on its own gets a batch of its own.
+    """
+    groups: list[list[int]] = []
+    group: list[int] = []
+    width = depth = 0
+    for k in sorted(range(len(sizes)), key=lambda k: (-sizes[k], k)):
+        grown_width, grown_depth = max(width, sizes[k]), max(depth, estimates[k])
+        if group and (len(group) + 1) * grown_width * grown_depth > _LOCKSTEP_CELLS:
+            groups.append(group)
+            group, grown_width, grown_depth = [], sizes[k], estimates[k]
+        group.append(k)
+        width, depth = grown_width, grown_depth
+    groups.append(group)
+    return groups
+
+
+def _lockstep_sweeps(
+    refs: Sequence[np.ndarray],
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+    estimates: Sequence[int],
+    capacity: float,
+    config: AllocationConfig,
+) -> list[list[_Bin]]:
+    """The Fig-2 sweep loop (lines 9-18) of K independent problems at once.
+
+    ``refs[k]`` is problem ``k``'s slot-ordered clamped references and
+    ``blocks[k]`` its ``(cost_array, rows)`` pair (``rows`` maps slots to
+    matrix rows).  Per-bin state is stacked into ``(K, bins)`` and
+    ``(K, bins, slots)`` arrays padded to the largest problem; padding is
+    never free, never fits and never wins an ``argmax``.
+
+    One iteration of the ``while`` loop is one iteration of every
+    unfinished problem's solo loop (:meth:`CorrelationAwareAllocator._run_sweeps`):
+
+    * the solo loop places into the first bin, by descending remaining
+      capacity then index, whose ``pick`` succeeds — a bin whose best
+      live cost beats the threshold, or an empty bin (best ``inf``).
+      That is one masked ``argmax`` of ``remaining`` per problem;
+    * the slot choice is the solo ``pick`` on the bin's cost row;
+    * a problem with no such bin takes the solo unproductive branch:
+      jump the threshold through the same ``alpha`` levels with the same
+      ``max_sweeps`` accounting, or open one more bin.
+
+    ``cost[k, b]`` holds bin ``b``'s prospective costs (``-inf`` where a
+    slot is taken or does not fit) and ``best[k, b]`` its maximum.  A
+    join recomputes the joined bin's row; a departing slot is masked out
+    of every row, and only the bins whose maximum sat at that slot are
+    re-maxed.  Returns each problem's bins (members in join order), for
+    :meth:`CorrelationAwareAllocator._consolidate_extras`.
+    """
+    num = len(refs)
+    sizes = np.array([r.size for r in refs], dtype=np.intp)
+    width = int(sizes.max())
+    # Slot-ordered matrices, concatenated; row p of problem k starts at
+    # starts[k] + p * sizes[k].  Row gathers clamp columns past a
+    # problem's size to its last column: padding slots are never free,
+    # so what their sums hold is never read.
+    starts = np.concatenate(([0], np.cumsum(sizes * sizes)[:-1]))
+    flat = np.empty(int((sizes * sizes).sum()))
+    for k, (cost_array, rows) in enumerate(blocks):
+        flat[starts[k] : starts[k] + rows.size * rows.size] = _slot_costs(
+            cost_array, rows
+        ).ravel()
+    columns = np.minimum(np.arange(width), sizes[:, None] - 1)
+
+    r = np.zeros((num, width))
+    for k, row in enumerate(refs):
+        r[k, : row.size] = row
+    free = np.arange(width) < sizes[:, None]
+    left = sizes.copy()
+    nbins = np.array(estimates, dtype=np.intp)
+    depth = int(nbins.max())
+    live = np.arange(depth) < nbins[:, None]
+    remaining = np.where(live, capacity, -np.inf)
+    best = np.where(live, np.inf, -np.inf)
+    count = np.zeros((num, depth), dtype=np.intp)
+    ref_sum = np.zeros((num, depth))
+    pair_weight = np.zeros((num, depth))
+    row_ref = np.zeros((num, depth, width))
+    row_one = np.zeros((num, depth, width))
+    cost = np.full((num, depth, width), -np.inf)
+
+    threshold = np.full(num, config.th_cost)
+    alpha = config.alpha
+    resolution = config.cost_resolution
+    max_sweeps = config.max_sweeps
+    # Sweeps per problem = loop iterations while unfinished + ``extra``
+    # (threshold levels jumped over); every unfinished problem has run
+    # every iteration so far.
+    extra = np.zeros(num, dtype=np.intp)
+    iteration = 0
+    joins: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    active = np.flatnonzero(left)
+    while active.size:
+        iteration += 1
+        if iteration + int(extra[active].max()) > max_sweeps:
+            raise _sweep_limit(max_sweeps)
+        pickable = best[active] > threshold[active, None]
+        productive = pickable.any(axis=1)
+        everyone = productive.all()
+        ks = active if everyone else active[productive]
+        if ks.size:
+            if not everyone:
+                pickable = pickable[productive]
+            bs = np.where(pickable, remaining[ks], -np.inf).argmax(axis=1)
+            rows = cost[ks, bs]
+            slots = np.where(
+                rows > threshold[ks, None], _bucketed(rows, resolution), -np.inf
+            ).argmax(axis=1)
+            empty = count[ks, bs] == 0
+            if empty.any():
+                # An empty bin fits every free slot; the first one is the
+                # largest (canonical order): the FFD move.
+                slots[empty] = free[ks[empty]].argmax(axis=1)
+            r_new = r[ks, slots]
+            # The departing slot leaves every bin's row; re-max the bins
+            # whose best sat there.
+            column = cost[ks, :, slots]
+            hit = (column == best[ks]) & (column > -np.inf)
+            cost[ks, :, slots] = -np.inf
+            if hit.any():
+                hk, hb = np.nonzero(hit)
+                best[ks[hk], hb] = cost[ks[hk], hb].max(axis=1)
+
+            weight, ref_rows, one_rows = _join_sums(
+                pair_weight[ks, bs],
+                row_ref[ks, bs, slots],
+                row_one[ks, bs, slots],
+                r_new,
+                flat[(starts[ks] + slots * sizes[ks])[:, None] + columns[ks]],
+                row_ref[ks, bs],
+                row_one[ks, bs],
+            )
+            pair_weight[ks, bs] = weight
+            row_ref[ks, bs] = ref_rows
+            row_one[ks, bs] = one_rows
+            members = count[ks, bs] + 1
+            count[ks, bs] = members
+            room = remaining[ks, bs] - r_new
+            remaining[ks, bs] = room
+            total = ref_sum[ks, bs] + r_new
+            ref_sum[ks, bs] = total
+            free[ks, slots] = False
+            left[ks] -= 1
+            joins.append((ks, bs, slots))
+
+            r_rows = r[ks]
+            rows = np.where(
+                free[ks] & (r_rows <= room[:, None] + _FIT_EPS),
+                _prospective_costs(
+                    weight[:, None], ref_rows, one_rows, total[:, None], r_rows, members[:, None]
+                ),
+                -np.inf,
+            )
+            cost[ks, bs] = rows
+            best[ks, bs] = rows.max(axis=1)
+
+        if not everyone:
+            idle = active[~productive]
+            top = best[idle].max(axis=1)
+            blocked = top == -np.inf
+            # Correlation-blocked: degenerate the threshold (line 17)
+            # through exactly the levels the solo loop sweeps.
+            jump, top = idle[~blocked], top[~blocked]
+            threshold[jump] *= alpha
+            pending = top <= threshold[jump]
+            while pending.any():
+                jump, top = jump[pending], top[pending]
+                extra[jump] += 1
+                if iteration + int(extra[jump].max()) > max_sweeps:
+                    raise _sweep_limit(max_sweeps)
+                threshold[jump] *= alpha
+                pending = top <= threshold[jump]
+            # Capacity-blocked: open one more server.
+            grow = idle[blocked]
+            if grow.size:
+                if int(nbins[grow].max()) >= depth:
+                    pad = max(1, depth // 4)
+                    count, ref_sum, pair_weight, remaining, best = (
+                        _pad_bins(array, pad, fill)
+                        for array, fill in (
+                            (count, 0), (ref_sum, 0.0), (pair_weight, 0.0),
+                            (remaining, -np.inf), (best, -np.inf),
+                        )
+                    )
+                    row_ref = _pad_bins(row_ref, pad, 0.0)
+                    row_one = _pad_bins(row_one, pad, 0.0)
+                    cost = _pad_bins(cost, pad, -np.inf)
+                    depth += pad
+                remaining[grow, nbins[grow]] = capacity
+                best[grow, nbins[grow]] = np.inf
+                nbins[grow] += 1
+        active = active[left[active] > 0]
+
+    bins = [[_Bin(b, capacity) for b in range(int(nbins[k]))] for k in range(num)]
+    for ks, bs, slots in joins:
+        for k, b, slot in zip(ks.tolist(), bs.tolist(), slots.tolist(), strict=True):
+            bins[k][b].members.append(slot)
+    for k, problem_bins in enumerate(bins):
+        for bin_ in problem_bins:
+            bin_.remaining = float(remaining[k, bin_.index])
+    return bins
+
+
+def _pad_bins(array: np.ndarray, extra: int, fill: float) -> np.ndarray:
+    """``array`` with ``extra`` more bins (axis 1) filled with ``fill``."""
+    shape = (array.shape[0], extra, *array.shape[2:])
+    return np.concatenate([array, np.full(shape, fill, dtype=array.dtype)], axis=1)
 
 
 PairCostRow = Callable[[str, Sequence[str]], np.ndarray]
@@ -792,3 +1105,51 @@ def _dense_rows(
     if rows.size and (rows.min() < 0 or rows.max() >= cost_array.shape[0]):
         raise ValueError("name_index points outside cost_array")
     return cost_array, rows
+
+
+def _slot_costs(cost_array: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``cost_array`` gathered into slot order (a new C-contiguous array)."""
+    return np.ascontiguousarray(cost_array[np.ix_(rows, rows)])
+
+
+def _capacity(n_cores: int) -> float:
+    if n_cores <= 0:
+        raise ValueError("n_cores must be positive")
+    return float(n_cores)
+
+
+def _canonical_problem(
+    vm_ids: Sequence[str], references: Mapping[str, float], capacity: float
+) -> tuple[list[str], dict[str, float], int]:
+    """Validate one ALLOCATE input; return its slot order, clamped refs, estimate.
+
+    UPDATE leftovers that live here by construction: the descending sort
+    (line 6) and the Eqn-3 server estimate (line 8).
+    """
+    vm_ids = list(vm_ids)
+    if len(set(vm_ids)) != len(vm_ids):
+        raise ValueError("duplicate VM ids")
+    if not vm_ids:
+        raise ValueError("nothing to allocate")
+    missing = [vm for vm in vm_ids if vm not in references]
+    if missing:
+        raise ValueError(f"missing references for {missing}")
+    refs = {vm: min(max(float(references[vm]), 0.0), capacity) for vm in vm_ids}
+    order = sorted(vm_ids, key=lambda vm: (-refs[vm], vm))
+    estimate = max(1, math.ceil(sum(refs.values()) / capacity - 1e-12))
+    return order, refs, estimate
+
+
+def _placement(
+    order: list[str],
+    bins: list[_Bin],
+    refs: Mapping[str, float],
+    capacity: float,
+    max_servers: int | None,
+) -> Placement:
+    """The swept bins as a capacity-checked :class:`Placement`."""
+    assignment = {order[slot]: bin_.index for bin_ in bins for slot in bin_.members}
+    num_servers = max_servers if max_servers is not None else len(bins)
+    placement = Placement(assignment, num_servers=num_servers)
+    placement.validate_capacity(refs, capacity)
+    return placement

@@ -336,6 +336,11 @@ class CostMatrix:
         """The full (read-only) symmetric cost matrix."""
         return self._matrix
 
+    def block(self, members: Sequence[str]) -> np.ndarray:
+        """``Cost_vm`` among ``members`` as an ``n x n`` array, in order."""
+        index = [self.index_of(vm) for vm in members]
+        return self._matrix[np.ix_(index, index)]
+
     def mean_offdiagonal(self) -> float:
         """Average pairwise cost — a population de-correlation summary."""
         n = self.size

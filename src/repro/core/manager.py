@@ -194,9 +194,9 @@ class PowerManager:
         path.  Mid-stream, each layer invalidates exactly what the
         arrival touches: the exact allocator keeps its reindex cache
         (the longer canonical order misses the key on its own), the
-        sharded tier invalidates only the shards the plan maps the
-        arrivals to, and the rolling horizon extends its cached parts
-        so history for surviving VMs keeps folding.
+        sharded tier has nothing to invalidate (it re-plans every
+        decide), and the rolling horizon extends its cached parts so
+        history for surviving VMs keeps folding.
 
         Admitted VMs are expected to appear in subsequent
         :meth:`decide` windows as survivors (current relative order)
@@ -220,8 +220,8 @@ class PowerManager:
 
         Drops the departed VMs' prediction histories and hands the
         delta to the allocator and horizon so only the state the
-        departure touches is invalidated (sibling shards and surviving
-        horizon windows stay warm).
+        departure touches is invalidated (surviving horizon windows stay
+        warm).
         """
         ids = (vm_ids,) if isinstance(vm_ids, str) else tuple(vm_ids)
         if not ids:
@@ -305,8 +305,6 @@ class PowerManager:
         population = tuple(vm for vm in names if vm not in members) if members else names
         if population != self._population:
             if self._population is not None:
-                # Sharded mode: this drops every *per-shard* reindex
-                # cache, not just a global one.
                 self._allocator.reset_cache()
             self._population = population
 
@@ -316,10 +314,14 @@ class PowerManager:
         references: Mapping[str, float],
         matrix: CostMatrix | ShardedCostView,
     ) -> dict[int, StaticVfSetting]:
-        """v/f: the Eqn-4 frequency of every active server."""
+        """v/f: the Eqn-4 frequency of every active server.
+
+        Each server's member costs are read as one block, not pair by
+        pair (the same values, summed in the same order).
+        """
         return {
             server: correlation_aware_frequency(
-                list(members), references, matrix.cost, self._ladder, self._config.n_cores
+                list(members), references, matrix.block(members), self._ladder, self._config.n_cores
             )
             for server, members in placement.by_server().items()
         }
@@ -368,9 +370,7 @@ class PowerManager:
             raise RuntimeError("evacuate() requires a prior decide()")
         n_cores = self._config.n_cores
         if self._config.allocator == "sharded":
-            # The sharded path prices evacuees through its cost view and
-            # invalidates the reindex cache of every shard the evacuation
-            # touches (failed or receiving) — see ShardedAllocator.
+            # The sharded path prices evacuees through its cost view.
             return self._allocator.evacuate(
                 placement, failed_servers, references, n_cores, max_servers
             )

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 
+import numpy as np
+
 __all__ = ["server_correlation_cost", "prospective_server_cost", "CostFn"]
 
 #: Pairwise cost lookup; both the exact and streaming matrices conform.
@@ -33,7 +35,7 @@ CostFn = Callable[[str, str], float]
 def server_correlation_cost(
     members: Sequence[str],
     references: Mapping[str, float],
-    cost_fn: CostFn,
+    cost_fn: CostFn | np.ndarray,
 ) -> float:
     """Eqn 2 for the given co-located VM set.
 
@@ -44,7 +46,11 @@ def server_correlation_cost(
     references:
         ``u_hat`` per VM id (the weights' numerators).
     cost_fn:
-        Pairwise cost lookup, typically ``CostMatrix.cost``.
+        Pairwise cost lookup, typically ``CostMatrix.cost`` — or the
+        members' ``n x n`` cost block in ``members`` order (e.g.
+        ``CostMatrix.block(members)``), read in one gather instead of
+        ``n (n - 1)`` lookups.  Both give the same bits: the pair sums
+        run in the same order either way.
     """
     n = len(members)
     if len(set(members)) != n:
@@ -54,16 +60,28 @@ def server_correlation_cost(
     total_ref = sum(references[vm] for vm in members)
     if total_ref <= 0.0:
         return 1.0
+    if callable(cost_fn):
+
+        def row_of(j: int) -> list[float]:
+            vm_j = members[j]
+            return [0.0 if k == j else cost_fn(vm_j, vm_k) for k, vm_k in enumerate(members)]
+
+    else:
+        block = np.asarray(cost_fn, dtype=float)
+        if block.shape != (n, n):
+            raise ValueError(f"cost block must be {n} x {n}, got shape {block.shape}")
+        row_of = block.tolist().__getitem__
     cost = 0.0
     for j, vm_j in enumerate(members):
         weight = references[vm_j] / total_ref
         if weight == 0.0:
             continue
+        # Explicit left-to-right ``+=``: ``sum()`` rounds differently on
+        # newer Pythons, and both lookup forms must agree bit for bit.
         pair_sum = 0.0
-        for k, vm_k in enumerate(members):
-            if k == j:
-                continue
-            pair_sum += cost_fn(vm_j, vm_k)
+        for k, pair_cost in enumerate(row_of(j)):
+            if k != j:
+                pair_sum += pair_cost
         cost += weight * pair_sum / (n - 1)
     return cost
 

@@ -12,11 +12,13 @@ a global matrix:
    :meth:`~repro.analysis.stats.BatchPSquare.marker_state` quantile
    markers, peak-to-mean ratio) and a seeded k-means groups VMs whose
    demand moves together.  O(N·W) — no pairwise work.
-2. **Allocate exactly per shard.**  Each shard runs the exact dense
-   allocator (:class:`~repro.core.allocation.CorrelationAwareAllocator`
-   over a shard-local :class:`~repro.core.correlation.CostMatrix`), so
-   intra-shard decisions are bit-for-bit the paper's Fig-2 procedure.
-   Per-shard matrices are O((N/S)²) — bounded by the shard-size cap.
+2. **Allocate exactly per shard.**  Each shard is one problem of the
+   exact allocator's lockstep sweep
+   (:meth:`~repro.core.allocation.CorrelationAwareAllocator.allocate_lockstep`
+   over shard-local :class:`~repro.core.correlation.CostMatrix` es): all
+   shards step their Fig-2 loops together, and each shard's placement is
+   bit-for-bit the one the solo Fig-2 procedure gives it.  Per-shard
+   matrices are O((N/S)²) — bounded by the shard-size cap.
 3. **Rebalance on compressed per-shard signals.**  One pass reduces
    each shard to its size, its folded per-member quantile marker state
    (:func:`~repro.analysis.stats.fold_marker_states`), its aggregate
@@ -48,7 +50,7 @@ every other parameter is a module constant below.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,7 +467,7 @@ class ShardedCostView:
     frequency and evacuation layers need it (``names`` + ``cost``).
     """
 
-    __slots__ = ("names", "index", "labels", "data", "matrices", "singles", "_spec")
+    __slots__ = ("names", "index", "labels", "data", "matrices", "singles", "_spec", "_local")
 
     def __init__(
         self,
@@ -483,19 +485,16 @@ class ShardedCostView:
         self.matrices = matrices
         self.singles = singles
         self._spec = spec
+        # Each VM's row in its shard's matrix: shard matrices list their
+        # members in canonical order, so it is the VM's rank in its shard.
+        order = np.argsort(labels, kind="stable")
+        first = np.searchsorted(labels[order], labels[order])
+        self._local = np.empty(len(names), dtype=np.intp)
+        self._local[order] = np.arange(len(names)) - first
 
     @property
     def num_shards(self) -> int:
         return len(self.matrices)
-
-    def shards_of(self, vms: Iterable[str]) -> set[int]:
-        """The shards owning ``vms`` (unknown names are ignored)."""
-        shards: set[int] = set()
-        for vm in vms:
-            index = self.index.get(vm)
-            if index is not None:
-                shards.add(int(self.labels[index]))
-        return shards
 
     def cost(self, a: str, b: str) -> float:
         if a == b:
@@ -504,10 +503,40 @@ class ShardedCostView:
         shard_a, shard_b = self.labels[ia], self.labels[ib]
         if shard_a == shard_b:
             return self.matrices[shard_a].cost(a, b)
-        joint = self._spec.of(self.data[ia] + self.data[ib])
-        if joint <= 0.0:
-            return NEUTRAL_COST
-        return float((self.singles[ia] + self.singles[ib]) / joint)
+        return float(self._cross_costs(np.array([ia]), np.array([ib]))[0])
+
+    def block(self, members: Sequence[str]) -> np.ndarray:
+        """:meth:`cost` among ``members`` as an ``n x n`` array, in order.
+
+        Same-shard pairs come from one gather per shard present, the
+        cross-shard pairs (bins that consolidation or evacuation mixed)
+        from one batched Eqn-1 evaluation; the values are :meth:`cost`'s.
+        """
+        index = np.array([self.index[vm] for vm in members], dtype=np.intp)
+        shards = self.labels[index]
+        local = self._local[index]
+        if (shards == shards[0]).all():
+            return self.matrices[shards[0]].as_array()[np.ix_(local, local)]
+        out = np.empty((index.size, index.size))
+        for shard in np.unique(shards):
+            at = np.flatnonzero(shards == shard)
+            out[np.ix_(at, at)] = self.matrices[shard].as_array()[np.ix_(local[at], local[at])]
+        i, j = np.nonzero(shards[:, None] != shards[None, :])
+        out[i, j] = self._cross_costs(index[i], index[j])
+        return out
+
+    def _cross_costs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Eqn-1 costs of the pairs ``(a[i], b[i])`` of window rows."""
+        if self._spec.is_peak:
+            joint = (self.data[a] + self.data[b]).max(axis=1)
+        else:
+            joint = np.array([self._spec.of(self.data[x] + self.data[y]) for x, y in zip(a, b)])
+        positive = joint > 0.0
+        return np.where(
+            positive,
+            (self.singles[a] + self.singles[b]) / np.where(positive, joint, 1.0),
+            NEUTRAL_COST,
+        )
 
 
 class ShardedAllocator:
@@ -520,14 +549,11 @@ class ShardedAllocator:
 
     * :meth:`allocate` takes the monitoring *window* (it must shard and
       cluster the raw traces), not a prebuilt cost matrix.
-    * Per-shard :class:`CorrelationAwareAllocator` instances persist
-      across periods, so each shard's cross-period reindex cache warms
-      exactly as in the exact path.  Each cache is keyed by its shard's
-      exact member order, so a population swap re-keys it on the next
-      :meth:`allocate`; shards beyond the new plan's count are dropped
-      there.  Membership deltas and cross-shard evacuations invalidate
-      the affected *per-shard* caches — dropping only a global cache
-      would leave stale per-shard pins.
+    * All shards of one :meth:`allocate` are solved together by lockstep
+      sweeps over freshly built per-shard matrices.  Nothing of a sweep
+      outlives the call: the only cross-period state is the latest plan
+      (:meth:`cost_view`), so membership deltas and evacuations have no
+      per-shard cache to invalidate.
     """
 
     def __init__(
@@ -539,7 +565,6 @@ class ShardedAllocator:
         self._allocation = allocation or AllocationConfig()
         self._sharding = sharding or ShardingConfig()
         self._spec = reference or ReferenceSpec()
-        self._allocators: dict[int, CorrelationAwareAllocator] = {}
         self._plan: ShardedCostView | None = None
 
     @property
@@ -562,32 +587,14 @@ class ShardedAllocator:
         return self._plan
 
     def reset_cache(self) -> None:
-        """Drop every per-shard reindex cache and the current plan."""
-        for allocator in self._allocators.values():
-            allocator.reset_cache()
-        self._allocators = {}
+        """Drop the current plan (fresh deployment)."""
         self._plan = None
 
     def apply_membership(
         self, added: Sequence[str] = (), removed: Sequence[str] = ()
     ) -> None:
-        """Adjust cross-period state to a membership delta.
-
-        Only the shards a delta actually touches are invalidated: the
-        reindex caches of shards holding a departed or (per the current
-        plan) newly-labeled VM are dropped, while sibling shards whose
-        member sets the delta never reaches keep their warm caches.
-        Shards whose membership *shifts* under the next plan are safe
-        either way — per-shard caches are keyed by their exact member
-        order and self-invalidate on mismatch.
-        """
-        self._invalidate_shards(set(removed).union(added))
-
-    def _shard_allocator(self, shard: int) -> CorrelationAwareAllocator:
-        allocator = self._allocators.get(shard)
-        if allocator is None:
-            allocator = self._allocators[shard] = CorrelationAwareAllocator(self._allocation)
-        return allocator
+        """Membership deltas need no action: every :meth:`allocate`
+        re-plans from its window, and no per-shard state outlives it."""
 
     def allocate(
         self,
@@ -596,7 +603,7 @@ class ShardedAllocator:
         n_cores: int,
         max_servers: int | None = None,
     ) -> Placement:
-        """Place ``window``'s VMs via cluster → per-shard exact → stitch.
+        """Place ``window``'s VMs via cluster → lockstep per-shard exact → stitch.
 
         Per-shard server indices are offset by the bins the preceding
         shards opened, so the stitched placement is dense over
@@ -620,31 +627,26 @@ class ShardedAllocator:
         capacity = float(n_cores)
         labels = _compute_labels(data, capacity, self._sharding)
         num_shards = int(labels.max()) + 1
-        # A shard id past the new plan's count holds a dead population.
-        for shard in [shard for shard in self._allocators if shard >= num_shards]:
-            del self._allocators[shard]
 
-        assignment: dict[str, int] = {}
         matrices: list[CostMatrix] = []
-        total_bins = 0
         for shard in range(num_shards):
             members = np.flatnonzero(labels == shard)
             member_names = tuple(canon_names[i] for i in members)
             rows = data[members]
             rows.flags.writeable = False
             subset = TraceSet.from_matrix(rows, member_names, window.period_s)
-            matrix = CostMatrix.from_traces(subset, self._spec)
-            local = self._shard_allocator(shard).allocate(
-                list(member_names),
-                references,
-                n_cores,
-                cost_array=matrix.as_array(),
-                name_index=matrix.name_index,
-            )
+            matrices.append(CostMatrix.from_traces(subset, self._spec))
+        shard_placements = CorrelationAwareAllocator(self._allocation).allocate_lockstep(
+            [(matrix.names, matrix.as_array(), matrix.name_index) for matrix in matrices],
+            references,
+            n_cores,
+        )
+        assignment: dict[str, int] = {}
+        total_bins = 0
+        for local in shard_placements:
             for vm, server in local.assignment.items():
                 assignment[vm] = server + total_bins
             total_bins += local.num_servers
-            matrices.append(matrix)
 
         if num_shards > 1:
             # Cross-shard consolidation: dissolve the per-shard tail
@@ -686,9 +688,7 @@ class ShardedAllocator:
         (:func:`~repro.core.allocation._evacuate`, transcribed by the
         scalar oracle in ``tests/test_faults.py``) with pair costs from
         :class:`ShardedCostView`, so cross-shard evacuees are priced
-        exactly.  Every shard that lost a server *or* received an
-        evacuee has its reindex cache dropped — its bin membership no
-        longer matches the cached canonical order.
+        exactly.
         """
         if self._plan is None:
             raise RuntimeError("evacuate() requires a prior allocate()")
@@ -697,7 +697,7 @@ class ShardedAllocator:
         def pair_costs(vm: str, others: Sequence[str]) -> np.ndarray:
             return np.array([cost(vm, other) for other in others], dtype=float)
 
-        amended = _evacuate(
+        return _evacuate(
             placement,
             failed_servers,
             references,
@@ -706,34 +706,6 @@ class ShardedAllocator:
             self._allocation.cost_resolution,
             pair_costs,
         )
-        if amended is placement:
-            return placement
-        failed = {int(server) for server in failed_servers}
-        evacuees = [vm for vm, server in placement.assignment.items() if server in failed]
-        receivers = {amended.assignment[vm] for vm in evacuees if vm in amended.assignment}
-        touched_vms = set(evacuees)
-        touched_vms.update(
-            vm for vm, server in amended.assignment.items() if server in receivers
-        )
-        self._invalidate_shards(touched_vms)
-        return amended
-
-    def _invalidate_shards(self, vms: Iterable[str]) -> None:
-        """Drop the reindex caches of every shard owning one of ``vms``.
-
-        Shard membership is resolved through the plan's per-VM labels,
-        never through server-index ranges: consolidation and prior
-        evacuations can leave a server hosting VMs of several shards, so
-        every shard that lost an evacuee *or* shares a bin with one
-        after the move gets its cache dropped.
-        """
-        plan = self._plan
-        if plan is None:
-            return
-        for shard in sorted(plan.shards_of(vms)):
-            allocator = self._allocators.get(shard)
-            if allocator is not None:
-                allocator.reset_cache()
 
     def snapshot(self) -> dict:
         """Serializable copy of all cross-period state (for checkpoints).
@@ -764,21 +736,10 @@ class ShardedAllocator:
                     for matrix in plan.matrices
                 ],
             }
-        return {
-            "allocators": {
-                shard: allocator.snapshot()
-                for shard, allocator in sorted(self._allocators.items())
-            },
-            "plan": plan_state,
-        }
+        return {"plan": plan_state}
 
     def restore(self, state: dict) -> None:
         """Reinstall a :meth:`snapshot` taken from an identical config."""
-        self._allocators = {}
-        for shard, payload in state["allocators"].items():
-            allocator = CorrelationAwareAllocator(self._allocation)
-            allocator.restore(payload)
-            self._allocators[int(shard)] = allocator
         plan_state = state["plan"]
         if plan_state is None:
             self._plan = None

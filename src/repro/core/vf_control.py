@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.server_cost import CostFn, server_correlation_cost
 from repro.infrastructure.dvfs import FrequencyLadder, StaticVfSetting
 
@@ -47,13 +49,15 @@ def _demand_sum(members: Sequence[str], references: Mapping[str, float]) -> floa
 def correlation_aware_frequency(
     members: Sequence[str],
     references: Mapping[str, float],
-    cost_fn: CostFn,
+    cost_fn: CostFn | np.ndarray,
     ladder: FrequencyLadder,
     n_cores: int,
 ) -> StaticVfSetting:
     """Eqn 4: the proposed aggressive-yet-safe static frequency.
 
-    An empty server provisions at ``fmin`` (it is about to be suspended
+    ``cost_fn`` is a pairwise cost lookup or the members' cost block, as
+    in :func:`~repro.core.server_cost.server_correlation_cost`.  An empty
+    server provisions at ``fmin`` (it is about to be suspended
     anyway; the replay engine draws zero power for inactive servers).
     """
     if n_cores <= 0:

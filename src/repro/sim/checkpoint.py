@@ -1,4 +1,4 @@
-"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v3"``).
+"""Crash-safe checkpoint files for mid-replay state (``checkpoint_layout="v4"``).
 
 :func:`repro.sim.engine.replay` can periodically serialize its *complete*
 mid-stream state — accumulator partials, streaming estimators, allocator
@@ -8,7 +8,7 @@ module owns the file format and the durability contract; the engine owns
 *what* goes into a checkpoint (see ``sim/engine.py``) and the auditor
 (``sim/audit.py``) validates the state right before each write.
 
-File format (``checkpoint_layout="v3"``)::
+File format (``checkpoint_layout="v4"``)::
 
     MAGIC (8 bytes, b"RPCKPT01")
     header length (4 bytes, big-endian)
@@ -65,7 +65,9 @@ __all__ = [
 #: ``"v3"``: the sharded allocator's snapshot drops its population and
 #: its per-shard summary records (a v2 sharded section unpickles only
 #: against the class those records named).
-CHECKPOINT_LAYOUT = "v3"
+#: ``"v4"``: the sharded allocator's snapshot drops its per-shard
+#: allocators (and their reindex caches); only the latest plan remains.
+CHECKPOINT_LAYOUT = "v4"
 
 #: File magic; the trailing digits version the *container framing* (the
 #: byte layout around the JSON header), while ``CHECKPOINT_LAYOUT``

@@ -289,7 +289,7 @@ class TestCheckpointFileFormat:
 
     def test_layout_constant(self, tmp_path):
         path, _, _ = self._save(tmp_path)
-        assert CHECKPOINT_LAYOUT == "v3"
+        assert CHECKPOINT_LAYOUT == "v4"
         # The version stamp rides in the header, not the meta.
         assert "layout" not in load_checkpoint(path).meta
 

@@ -330,34 +330,6 @@ class TestAllocatorDeltas:
         manager.retire("v3")
         assert manager._allocator._reindex_cache is None
 
-    def test_departure_does_not_reset_sibling_shards(self):
-        rng = np.random.default_rng(14)
-        manager = self._manager("sharded")
-        names = [f"vm{i:03d}" for i in range(60)]
-        for _ in range(2):
-            manager.decide(
-                TraceSet.from_matrix(_window(rng, 60), tuple(names), PERIOD_S)
-            )
-        sharded = manager._allocator
-        victim = names[7]
-        victim_shard = sorted(sharded._plan.shards_of([victim]))[0]
-        assert all(
-            sharded._allocators[shard]._reindex_cache is not None
-            for shard in sharded._allocators
-        )
-        manager.retire(victim)
-        assert sharded._allocators[victim_shard]._reindex_cache is None
-        siblings = [s for s in sharded._allocators if s != victim_shard]
-        assert siblings
-        assert all(
-            sharded._allocators[shard]._reindex_cache is not None for shard in siblings
-        )
-        # The next decide recognises the delta: no wholesale reset.
-        names.remove(victim)
-        manager.decide(
-            TraceSet.from_matrix(_window(rng, 59), tuple(names), PERIOD_S)
-        )
-
     @pytest.mark.parametrize("allocator", ["exact", "sharded"])
     def test_population_swap_resets_only_unregistered_changes(self, allocator, monkeypatch):
         rng = np.random.default_rng(17)

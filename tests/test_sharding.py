@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.allocation import CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix
+from repro.core.server_cost import server_correlation_cost
 from repro.core.sharding import (
     ENERGY_DEVIATION_BOUND,
     ShardedAllocator,
@@ -243,6 +244,48 @@ class TestPinnedPlacement:
         digest = hashlib.sha256(repr(sorted(placement.assignment.items())).encode())
         assert placement.num_servers == PINNED_SERVERS
         assert digest.hexdigest() == PINNED_DIGEST
+
+
+class TestMemberCostBlocks:
+    """Eqn 4 from member blocks: the same bits as pair-by-pair lookups."""
+
+    @pytest.mark.parametrize("spec", [ReferenceSpec(), ReferenceSpec(90.0)])
+    def test_block_matches_pair_lookups(self, spec):
+        window = _population(31, 96, 6)
+        references = dict(window.references(spec))
+        allocator = ShardedAllocator(sharding=ShardingConfig(num_shards=4), reference=spec)
+        placement = allocator.allocate(window, references, N_CORES)
+        view = allocator.cost_view()
+        rng = np.random.default_rng(5)
+        # The stitched servers (consolidation mixes shards on some) plus
+        # random member sets that certainly span shards.
+        groups = [list(members) for members in placement.by_server().values()]
+        groups += [
+            [str(vm) for vm in rng.choice(window.names, size=size, replace=False)]
+            for size in (2, 5, 11, 23)
+        ]
+        labels = dict(zip(view.names, view.labels, strict=True))
+        assert any(len({labels[vm] for vm in group}) > 1 for group in groups)
+        for members in groups:
+            block = view.block(members)
+            for i, a in enumerate(members):
+                for j, b in enumerate(members):
+                    if i != j:
+                        assert block[i, j] == view.cost(a, b)
+            assert server_correlation_cost(members, references, block) == (
+                server_correlation_cost(members, references, view.cost)
+            )
+
+    def test_dense_matrix_block(self):
+        window = _population(32, 24, 3)
+        references = dict(window.references(SPEC))
+        matrix = CostMatrix.from_traces(window)
+        members = list(window.names[3:17:2])
+        assert server_correlation_cost(members, references, matrix.block(members)) == (
+            server_correlation_cost(members, references, matrix.cost)
+        )
+        with pytest.raises(ValueError, match="cost block"):
+            server_correlation_cost(members, references, matrix.block(members[1:]))
 
 
 class TestPopulationSwap:

@@ -13,6 +13,8 @@ kernels; these tests pin the contract that made that safe:
 * the allocator's incremental, sweep-batched Fig-2 loop produces
   placements identical to a scalar level-by-level transcription of Fig 2
   (:func:`_oracle_allocate`) on randomized instances;
+* the lockstep sweep over many problems places each one exactly like
+  the solo sweep on that problem alone;
 * the vectorized batch kernels (:meth:`CostMatrix.from_traces`,
   :func:`pearson_cost_matrix`) match naive per-pair evaluation.
 """
@@ -27,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import BatchPSquare, PSquarePercentile, RunningPercentile, pearson
+from repro.core import allocation
 from repro.core.allocation import AllocationConfig, CapacityError, CorrelationAwareAllocator
 from repro.core.correlation import CostMatrix, StreamingCostMatrix, pearson_cost_matrix
 from repro.core.placement import Placement
@@ -510,3 +513,129 @@ class TestAllocatorFastPathEquivalence:
                 cost_array=matrix.as_array(),
                 name_index={"vm000": 0},
             )
+
+
+def _symmetric_problem(rng: np.random.Generator, prefix: str, n: int, ref_mode: str):
+    """A random symmetric cost matrix (rows shuffled against the names)."""
+    names = [f"{prefix}vm{i:03d}" for i in range(n)]
+    upper = np.triu(rng.uniform(1.0, 2.0, size=(n, n)), 1)
+    array = upper + upper.T + np.eye(n)
+    rows = rng.permutation(n)
+    index = {name: int(row) for name, row in zip(names, rows, strict=True)}
+    if ref_mode == "zero":
+        refs = dict.fromkeys(names, 0.0)
+    elif ref_mode == "large":
+        # Several VMs above half a server: the Eqn-3 estimate is too
+        # tight and the sweep opens bins beyond it.
+        refs = {name: float(rng.uniform(3.0, 8.0)) for name in names}
+    else:
+        refs = {name: float(rng.uniform(0.05, 6.0)) for name in names}
+    return (names, array, index), refs
+
+
+class TestLockstepMatchesSolo:
+    """``allocate_lockstep`` gives every problem its solo placement."""
+
+    @staticmethod
+    def _agree(problems, refs, config, n_cores=8):
+        placements = CorrelationAwareAllocator(config).allocate_lockstep(
+            problems, refs, n_cores
+        )
+        assert len(placements) == len(problems)
+        for (names, array, index), placed in zip(problems, placements, strict=True):
+            solo = CorrelationAwareAllocator(config).allocate(
+                names, refs, n_cores, cost_array=array, name_index=index
+            )
+            assert dict(placed.assignment) == dict(solo.assignment)
+            assert placed.num_servers == solo.num_servers
+        return placements
+
+    @staticmethod
+    def _problems(rng, sizes, modes):
+        problems, refs = [], {}
+        for k, (n, mode) in enumerate(zip(sizes, modes, strict=True)):
+            problem, problem_refs = _symmetric_problem(rng, f"p{k}", n, mode)
+            problems.append(problem)
+            refs.update(problem_refs)
+        return problems, refs
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=28),
+                st.sampled_from(["mixed", "large", "zero"]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1.1, 1.5, 6.0]),
+        st.sampled_from([0.9, 0.99]),
+        st.sampled_from([0.05, 0.0]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_random_problem_stacks(self, shapes, th_cost, alpha, resolution, seed):
+        rng = np.random.default_rng(seed)
+        sizes = [n for n, _mode in shapes]
+        modes = [mode for _n, mode in shapes]
+        problems, refs = self._problems(rng, sizes, modes)
+        config = AllocationConfig(th_cost=th_cost, alpha=alpha, cost_resolution=resolution)
+        self._agree(problems, refs, config)
+
+    def test_single_problem(self, rng):
+        problems, refs = self._problems(rng, [30], ["mixed"])
+        self._agree(problems, refs, AllocationConfig())
+
+    def test_capacity_blocked_extra_bins(self, rng):
+        """Problems that open servers beyond their Eqn-3 estimate (and
+        grow the stacked bin axis) next to ones that do not."""
+        problems, refs = self._problems(rng, [3, 25, 9, 25], ["mixed", "large", "zero", "large"])
+        placements = self._agree(problems, refs, AllocationConfig())
+        estimates = [
+            max(1, math.ceil(sum(refs[vm] for vm in names) / 8 - 1e-12))
+            for names, _array, _index in problems
+        ]
+        assert any(
+            placed.num_servers > estimate
+            for placed, estimate in zip(placements, estimates, strict=True)
+        )
+
+    def test_multi_level_threshold_decay(self, rng):
+        problems, refs = self._problems(rng, [12, 20, 5], ["mixed", "mixed", "large"])
+        self._agree(problems, refs, AllocationConfig(th_cost=40.0, alpha=0.95))
+
+    def test_all_zero_references(self, rng):
+        problems, refs = self._problems(rng, [6, 1, 14], ["zero", "zero", "zero"])
+        self._agree(problems, refs, AllocationConfig())
+
+    def test_exact_cost_comparison(self, rng):
+        problems, refs = self._problems(rng, [16, 22], ["mixed", "mixed"])
+        self._agree(problems, refs, AllocationConfig(cost_resolution=0.0))
+
+    def test_max_sweeps_raises_the_solo_error(self, rng):
+        """Few VMs, a threshold dozens of ``alpha`` levels up: the limit
+        is hit by the jumped-over levels, not by placements."""
+        problems, refs = self._problems(rng, [6, 4], ["mixed", "mixed"])
+        config = AllocationConfig(th_cost=50.0, alpha=0.9, max_sweeps=20)
+        names, array, index = problems[1]
+        with pytest.raises(CapacityError) as solo:
+            CorrelationAwareAllocator(config).allocate(
+                names, refs, 8, cost_array=array, name_index=index
+            )
+        with pytest.raises(CapacityError) as lockstep:
+            CorrelationAwareAllocator(config).allocate_lockstep(problems, refs, 8)
+        assert str(lockstep.value) == str(solo.value)
+
+    def test_small_cell_budget_splits_into_batches(self, rng, monkeypatch):
+        """Problems too many for one stack are swept in several batches
+        (largest first); each still gets its solo placement, in input
+        order."""
+        monkeypatch.setattr(allocation, "_LOCKSTEP_CELLS", 400)
+        problems, refs = self._problems(
+            rng, [5, 30, 12, 30, 2, 19], ["mixed", "mixed", "large", "mixed", "zero", "mixed"]
+        )
+        assert allocation._lockstep_groups([5, 30], [1, 8]) == [[1], [0]]
+        self._agree(problems, refs, AllocationConfig())
+
+    def test_no_problems(self):
+        assert CorrelationAwareAllocator().allocate_lockstep([], {}, 8) == []

@@ -55,6 +55,7 @@ GATED_ENTRIES: tuple[tuple[str, str, str], ...] = (
     ("allocate_sharded", "speedup_vs_exact", "higher"),
     ("allocate_sharded", "proxy_ratio", "lower"),
     ("churn", "p99_vs_p50", "lower"),
+    ("churn", "lockstep_speedup", "higher"),
     # slo_frontier is fully seeded, so both entries are deterministic:
     # the ratio must land exactly on the committed value on any box, and
     # the equivalence flag is 1.0 (byte-identical serial vs pooled).
